@@ -2,10 +2,14 @@
 //
 //   $ ./quickstart [--nodes=24] [--p=0.12] [--seed=7]
 //
+// A malformed or out-of-range flag prints its message and exits 2.
+//
 // Builds a random connected network, routes a message between the two
 // most distant nodes with the UES router (Theorem 1), then shows that a
 // failure really is a certificate by asking for an unreachable target.
+#include <cstdint>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/api.h"
 #include "graph/algorithms.h"
@@ -14,9 +18,22 @@
 
 int main(int argc, char** argv) {
   uesr::util::Cli cli(argc, argv);
-  const auto n = static_cast<uesr::graph::NodeId>(cli.get_int("nodes", 24));
-  const double p = cli.get_double("p", 0.12);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+  uesr::graph::NodeId n = 0;
+  double p = 0.0;
+  std::uint64_t seed = 0;
+  try {
+    const std::int64_t nodes = cli.get_int("nodes", 24);
+    if (nodes < 2 || nodes > (1 << 16))
+      throw std::invalid_argument("flag --nodes must be in [2, 65536]");
+    n = static_cast<uesr::graph::NodeId>(nodes);
+    p = cli.get_double("p", 0.12);
+    if (!(p > 0.0 && p <= 1.0))
+      throw std::invalid_argument("flag --p must be in (0, 1]");
+    seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "quickstart: " << e.what() << "\n";
+    return 2;
+  }
 
   // An ad hoc network nobody has a map of: random topology, anonymous
   // ports, no routing tables.

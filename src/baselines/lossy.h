@@ -22,8 +22,8 @@
 
 #include "baselines/flooding.h"
 #include "graph/graph.h"
-#include "net/reliable.h"
 #include "net/sim.h"
+#include "net/window.h"
 
 namespace uesr::baselines {
 

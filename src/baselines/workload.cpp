@@ -320,16 +320,20 @@ LossyTrafficCell lossy_traffic_experiment(const graph::Scenario& scenario,
   engine.admit_all(w.sessions);
   engine.run();
   // Ground truth: an independent replay of the schedule, one component map
-  // per epoch (scenario replays are exact, so this is the same topology
-  // sequence the engine committed).
-  std::vector<std::vector<NodeId>> comp_by_epoch;
-  comp_by_epoch.reserve(static_cast<std::size_t>(max_epochs) + 1);
+  // per committed epoch (scenario replays are exact, so this is the same
+  // topology sequence the engine committed).  Reports carry the
+  // DynamicGraph::epoch() stamp, which an advance that changes nothing
+  // does not move, so the maps are indexed by stamp, not by advance count.
   auto replay = scenario.fresh();
   graph::DynamicGraph dg = replay->initial();
-  comp_by_epoch.push_back(graph::connected_components(dg.snapshot()));
+  std::vector<std::vector<NodeId>> comp_by_epoch(
+      static_cast<std::size_t>(dg.epoch()) + 1);
+  comp_by_epoch.back() = graph::connected_components(dg.snapshot());
   for (std::uint64_t e = 0; e < max_epochs; ++e) {
     replay->advance(dg);
-    comp_by_epoch.push_back(graph::connected_components(dg.snapshot()));
+    if (dg.epoch() < comp_by_epoch.size()) continue;  // nothing committed
+    comp_by_epoch.resize(static_cast<std::size_t>(dg.epoch()) + 1);
+    comp_by_epoch.back() = graph::connected_components(dg.snapshot());
   }
   return summarize_lossy(engine.reports(), engine.clock(), comp_by_epoch);
 }

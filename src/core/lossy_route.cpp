@@ -1,6 +1,8 @@
 #include "core/lossy_route.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "explore/sequence_cache.h"
 #include "util/rng.h"
@@ -13,112 +15,140 @@ using net::Direction;
 using net::Kind;
 using net::Status;
 
-namespace {
-
-/// Fold one stop-and-wait outcome into the session stats.
-void fold(ArqStats& s, const net::ReliableOutcome& out) {
-  s.retransmits += out.retransmits;
-  s.backoffs += out.backoffs;
-  s.rtt_samples += out.rtt_samples;
-}
-
-void fold(ArqStats& s, const net::WindowOutcome& out) {
-  s.retransmits += out.retransmits;
-  s.backoffs += out.backoffs;
-  s.rtt_samples += out.rtt_samples;
-}
-
-}  // namespace
+/// One churn epoch's network: the snapshot's reduction and its T_n.  The
+/// channel points into `reduced`, so it is closed before the epoch goes.
+struct LossyRouteSession::Epoch {
+  explore::ReducedGraph reduced;
+  std::shared_ptr<const explore::ExplorationSequence> seq;
+};
 
 LossyRouteSession::LossyRouteSession(const explore::ReducedGraph& net,
                                      const explore::ExplorationSequence& seq,
                                      NodeId s, NodeId t,
                                      LossyRouteOptions options)
-    : net_(&net), seq_(&seq), options_(options) {
+    : s_(s), t_(t), net_(&net), seq_(&seq) {
   const auto n_orig = static_cast<NodeId>(net.first_gadget.size());
   if (s >= n_orig)
     throw std::invalid_argument("LossyRouteSession: source out of range");
   if (t != net::kNoTarget && t >= n_orig)
     throw std::invalid_argument("LossyRouteSession: target out of range");
-  if (options_.arq == ArqKind::kStopAndWait)
-    sw_.emplace(net.cubic, options_.net_seed, options_.link,
-                options_.reliable);
-  else
-    sr_.emplace(net.cubic, options_.net_seed, options_.link, options_.window);
-  // Arm the fault schedule before any frame moves: every entry lands at
-  // its exact plan time, interleaved with the walk's transfers.
-  options_.faults.arm(sw_ ? sw_->sim() : sr_->sim());
-  header_.kind = t == net::kNoTarget ? Kind::kBroadcast : Kind::kRoute;
-  header_.source = s;
-  header_.target = t;
-  start_gadget_ = net.entry_gadget(s);
+  options_.link = options.link;
+  options_.reliable = options.reliable;
+  options_.window = options.window;
+  options_.arq = options.arq;
+  options_.net_seed = options.net_seed;
+  options_.faults = std::move(options.faults);
+  open_channel();
 }
 
-net::ReliableTransport& LossyRouteSession::transport() {
-  if (!sw_)
-    throw std::logic_error(
-        "LossyRouteSession::transport: session runs selective repeat");
-  return *sw_;
-}
-
-const net::ReliableTransport& LossyRouteSession::transport() const {
-  if (!sw_)
-    throw std::logic_error(
-        "LossyRouteSession::transport: session runs selective repeat");
-  return *sw_;
-}
-
-net::WindowTransport& LossyRouteSession::window_transport() {
-  if (!sr_)
-    throw std::logic_error(
-        "LossyRouteSession::window_transport: session runs stop-and-wait");
-  return *sr_;
-}
-
-net::EventSim& LossyRouteSession::sim() {
-  return sw_ ? sw_->sim() : sr_->sim();
-}
-
-std::uint64_t LossyRouteSession::wire_frames() const {
-  return sw_ ? sw_->frames() : sr_->frames();
-}
-
-ArqStats LossyRouteSession::arq_stats() const {
-  ArqStats s = stats_;
-  const net::RtoEstimator& est = sw_ ? sw_->estimator() : sr_->estimator();
-  s.srtt = est.srtt();
-  s.rto = est.rto();
-  s.virtual_time = sw_ ? sw_->sim().now() : sr_->sim().now();
-  return s;
-}
-
-net::Arrival LossyRouteSession::reliable_hop(NodeId from, Port out_port,
-                                             bool& ok) {
-  if (sw_) {
-    const net::ReliableOutcome out = sw_->send(from, out_port);
-    fold(stats_, out);
-    ok = out.delivered;
-    return out.arrival;
+LossyRouteSession::LossyRouteSession(const graph::DynamicGraph& g, NodeId s,
+                                     NodeId t, LossyDynamicOptions options)
+    : graph_(&g), s_(s), t_(t), options_(std::move(options)) {
+  const NodeId n = g.num_nodes();
+  if (s >= n || t >= n)
+    throw std::invalid_argument("LossyRouteSession: node out of range");
+  session_epoch_ = g.epoch();
+  if (s == t) {  // degenerate: nothing to send, whatever the channel does
+    verdict_ = LossyVerdict::kDelivered;
+    completion_epoch_ = session_epoch_;
+    return;
   }
-  const net::WindowOutcome out = sr_->send(from, out_port);
-  fold(stats_, out);
-  ok = out.delivered;
-  return out.arrival;
+  rebuild();
+}
+
+LossyRouteSession::~LossyRouteSession() = default;
+
+void LossyRouteSession::rebuild() {
+  if (arq_) {
+    // The discarded epoch's frames and retries were really spent.
+    carried_frames_ += arq_->frames();
+    stats_.virtual_time += arq_->sim().now();
+    arq_.reset();
+    epoch_.reset();
+    ++restarts_;
+  }
+  session_epoch_ = graph_->epoch();
+  epoch_ = std::make_unique<Epoch>();
+  epoch_->reduced = explore::reduce_to_cubic(graph_->snapshot());
+  epoch_->seq = explore::cached_standard_ues(
+      std::max<NodeId>(
+          static_cast<NodeId>(epoch_->reduced.cubic.num_nodes()), 1),
+      options_.seq_seed);
+  net_ = &epoch_->reduced;
+  seq_ = epoch_->seq.get();
+  open_channel();
+}
+
+void LossyRouteSession::open_channel() {
+  // Every per-epoch stream is a pure function of (seed, epoch) — same
+  // scenario, same seeds, same schedule: the replayability contract under
+  // churn.  A static network's one epoch uses the seeds as given.
+  const auto epoch_seed = [&](std::uint64_t seed) {
+    return graph_ ? util::counter_hash(seed, session_epoch_) : seed;
+  };
+  arq_.emplace(net_->cubic, epoch_seed(options_.net_seed), options_.link,
+               options_.arq == ArqKind::kStopAndWait
+                   ? net::stop_and_wait(options_.reliable)
+                   : options_.window);
+  // Arm the fault schedule before any frame moves: every entry lands at
+  // its exact plan time, interleaved with the walk's transfers.  Plan
+  // times are in per-epoch virtual time (each epoch owns a new channel at
+  // t = 0), and the sampled plan is a pure function of (epoch cubic,
+  // config, counter_hash(chaos_seed, epoch)) — replayable composition of
+  // churn, loss, and faults.
+  net::EventSim& sim = arq_->sim();
+  options_.faults.arm(sim);
+  if (options_.chaos)
+    net::FaultPlan::sample(net_->cubic, *options_.chaos,
+                           epoch_seed(options_.chaos_seed))
+        .arm(sim);
+  if (options_.one_sided_down > 0.0) {
+    // One-sided direction kills, re-drawn per epoch from their own stream
+    // (never the channel's — the draws must not perturb frame schedules).
+    util::Pcg32 flips(epoch_seed(options_.net_seed ^ 0x1e51dedu));
+    const graph::Graph& cubic = net_->cubic;
+    for (NodeId v = 0; v < cubic.num_nodes(); ++v)
+      for (Port q = 0; q < cubic.degree(v); ++q)
+        if (flips.next_double() < options_.one_sided_down)
+          sim.set_link_up(v, q, false);
+  }
+  // Start the walk from scratch (stateless nodes make restarts free).
+  header_ = net::Header{};
+  header_.kind = t_ == net::kNoTarget ? Kind::kBroadcast : Kind::kRoute;
+  header_.source = s_;
+  header_.target = t_;
+  start_gadget_ = net_->entry_gadget(s_);
+  injected_ = false;
+  blocked_ = false;
+}
+
+bool LossyRouteSession::hop(NodeId from, Port out_port) {
+  const net::WindowOutcome out = arq_->send(from, out_port);
+  stats_.retransmits += out.retransmits;
+  stats_.backoffs += out.backoffs;
+  stats_.rtt_samples += out.rtt_samples;
+  if (!out.delivered) {
+    // Retry budget spent: the chain of custody is broken and this walk
+    // asserts nothing (see header comment — the data or its ack may be the
+    // lost half).  Under churn the next epoch may heal the link; a static
+    // network never moves, so nothing can.
+    blocked_ = true;
+    if (!graph_) give_up();
+    return false;
+  }
+  at_ = out.arrival;
+  ++hops_;
+  return true;
 }
 
 void LossyRouteSession::step() {
   if (finished()) return;
-  bool ok = false;
+  if (current_epoch() != session_epoch_) rebuild();
+  if (blocked_) return;  // same epoch, spent budget: wait for the topology
   if (!injected_) {
     // Injection: s sends along d_0 = (start, port 0); consumes no symbol.
-    const net::Arrival arr = reliable_hop(start_gadget_, 0, ok);
-    if (!ok) {
-      verdict_ = LossyVerdict::kUncertified;
-      return;
-    }
-    at_ = arr;
+    if (!hop(start_gadget_, 0)) return;
     injected_ = true;
-    ++hops_;
     if (header_.kind == Kind::kRoute &&
         net_->original_of[at_.node] == header_.target)
       target_reached_ = true;
@@ -132,197 +162,36 @@ void LossyRouteSession::step() {
     verdict_ = d.final_status == Status::kSuccess
                    ? LossyVerdict::kDelivered
                    : LossyVerdict::kFailureCertified;
+    completion_epoch_ = session_epoch_;
     return;
   }
-  const net::Arrival arr = reliable_hop(at_.node, d.out_port, ok);
-  if (!ok) {
-    // Retry budget spent mid-walk: the chain of custody is broken and the
-    // session asserts nothing (see header comment — the data or its ack
-    // may be the lost half).
-    verdict_ = LossyVerdict::kUncertified;
-    return;
-  }
-  at_ = arr;
-  ++hops_;
+  if (!hop(at_.node, d.out_port)) return;
   if (header_.dir == Direction::kForward && header_.kind == Kind::kRoute &&
       net_->original_of[at_.node] == header_.target)
     target_reached_ = true;
 }
 
 LossyVerdict LossyRouteSession::run() {
-  while (!finished()) step();
+  while (!finished() && !blocked()) step();
   return verdict_;
 }
 
-// ---------------------------------------------------------------------------
-// Composed loss + churn.
-// ---------------------------------------------------------------------------
-
-/// One epoch's network: the snapshot's reduction, its T_n, and a fresh
-/// channel.  Transports point into `reduced`, so the whole bundle lives
-/// and dies together (declaration order puts `reduced` first: transports
-/// are destroyed before the graph they reference).
-struct LossyDynamicRouteSession::Epoch {
-  explore::ReducedGraph reduced;
-  std::shared_ptr<const explore::ExplorationSequence> seq;
-  std::optional<net::ReliableTransport> sw;
-  std::optional<net::WindowTransport> sr;
-
-  net::EventSim& sim() { return sw ? sw->sim() : sr->sim(); }
-  std::uint64_t frames() const { return sw ? sw->frames() : sr->frames(); }
-  const net::RtoEstimator& estimator() const {
-    return sw ? sw->estimator() : sr->estimator();
-  }
-};
-
-LossyDynamicRouteSession::LossyDynamicRouteSession(
-    const graph::DynamicGraph& g, NodeId s, NodeId t,
-    LossyDynamicOptions options)
-    : graph_(&g), s_(s), t_(t), options_(options) {
-  const NodeId n = g.num_nodes();
-  if (s >= n || t >= n)
-    throw std::invalid_argument(
-        "LossyDynamicRouteSession: node out of range");
-  if (s == t) {  // degenerate: nothing to send, whatever the channel does
-    verdict_ = LossyVerdict::kDelivered;
-    session_epoch_ = completion_epoch_ = g.epoch();
-    return;
-  }
-  rebuild();
-}
-
-LossyDynamicRouteSession::~LossyDynamicRouteSession() = default;
-
-void LossyDynamicRouteSession::rebuild() {
-  if (epoch_) {
-    // The discarded epoch's frames and retries were really spent.
-    carried_frames_ += epoch_->frames();
-    carried_stats_.virtual_time += epoch_->sim().now();
-    epoch_.reset();
-    ++restarts_;
-  }
-  session_epoch_ = graph_->epoch();
-  auto e = std::make_unique<Epoch>();
-  e->reduced = explore::reduce_to_cubic(graph_->snapshot());
-  e->seq = explore::cached_standard_ues(
-      std::max<NodeId>(static_cast<NodeId>(e->reduced.cubic.num_nodes()), 1),
-      options_.seq_seed);
-  // Epoch e's channel is a pure function of (net_seed, e): same scenario,
-  // same seeds, same schedule — the replayability contract under churn.
-  const std::uint64_t channel_seed =
-      util::counter_hash(options_.net_seed, session_epoch_);
-  if (options_.arq == ArqKind::kStopAndWait)
-    e->sw.emplace(e->reduced.cubic, channel_seed, options_.link,
-                  options_.reliable);
-  else
-    e->sr.emplace(e->reduced.cubic, channel_seed, options_.link,
-                  options_.window);
-  {
-    // Per-epoch chaos: the scripted plan re-arms fresh (plan times are in
-    // per-epoch virtual time — each epoch owns a new channel at t = 0),
-    // and the sampled plan is a pure function of (epoch cubic, config,
-    // counter_hash(chaos_seed, epoch)) — replayable composition of churn,
-    // loss, and faults.
-    net::EventSim& sim = e->sw ? e->sw->sim() : e->sr->sim();
-    options_.faults.fresh().arm(sim);
-    if (options_.chaos)
-      net::FaultPlan::sample(
-          e->reduced.cubic, *options_.chaos,
-          util::counter_hash(options_.chaos_seed, session_epoch_))
-          .arm(sim);
-  }
-  if (options_.one_sided_down > 0.0) {
-    // One-sided direction kills, re-drawn per epoch from their own stream
-    // (never the channel's — the draws must not perturb frame schedules).
-    util::Pcg32 flips(
-        util::counter_hash(options_.net_seed ^ 0x1e51dedu, session_epoch_));
-    const graph::Graph& cubic = e->reduced.cubic;
-    net::EventSim& sim = e->sw ? e->sw->sim() : e->sr->sim();
-    for (NodeId v = 0; v < cubic.num_nodes(); ++v)
-      for (Port q = 0; q < cubic.degree(v); ++q)
-        if (flips.next_double() < options_.one_sided_down)
-          sim.set_link_up(v, q, false);
-  }
-  epoch_ = std::move(e);
-  // Restart the walk from scratch (stateless nodes make restarts free).
-  header_ = net::Header{};
-  header_.kind = Kind::kRoute;
-  header_.source = s_;
-  header_.target = t_;
-  start_gadget_ = epoch_->reduced.entry_gadget(s_);
-  injected_ = false;
-  blocked_ = false;
-}
-
-net::Arrival LossyDynamicRouteSession::reliable_hop(NodeId from,
-                                                    Port out_port, bool& ok) {
-  if (epoch_->sw) {
-    const net::ReliableOutcome out = epoch_->sw->send(from, out_port);
-    fold(carried_stats_, out);
-    ok = out.delivered;
-    return out.arrival;
-  }
-  const net::WindowOutcome out = epoch_->sr->send(from, out_port);
-  fold(carried_stats_, out);
-  ok = out.delivered;
-  return out.arrival;
-}
-
-void LossyDynamicRouteSession::step() {
-  if (finished()) return;
-  if (graph_->epoch() != session_epoch_) rebuild();
-  if (blocked_) return;  // same epoch, spent budget: wait for the topology
-  bool ok = false;
-  if (!injected_) {
-    const net::Arrival arr = reliable_hop(start_gadget_, 0, ok);
-    if (!ok) {
-      blocked_ = true;
-      return;
-    }
-    at_ = arr;
-    injected_ = true;
-    ++hops_;
-    return;
-  }
-  const NodeView view{epoch_->reduced.original_of[at_.node],
-                      epoch_->reduced.cubic.degree(at_.node)};
-  NodeDecision d = route_node_step(view, at_.port, header_, *epoch_->seq);
-  header_ = d.header;
-  if (d.terminate) {
-    verdict_ = d.final_status == Status::kSuccess
-                   ? LossyVerdict::kDelivered
-                   : LossyVerdict::kFailureCertified;
-    completion_epoch_ = session_epoch_;
-    return;
-  }
-  const net::Arrival arr = reliable_hop(at_.node, d.out_port, ok);
-  if (!ok) {
-    // Unlike the static session, a spent budget is not the end under
-    // churn: the epoch may heal the link.  Sleep until then.
-    blocked_ = true;
-    return;
-  }
-  at_ = arr;
-  ++hops_;
-}
-
-void LossyDynamicRouteSession::give_up() {
+void LossyRouteSession::give_up() {
   if (finished() || !blocked_) return;
   verdict_ = LossyVerdict::kUncertified;
   completion_epoch_ = session_epoch_;
 }
 
-std::uint64_t LossyDynamicRouteSession::wire_frames() const {
-  return carried_frames_ + (epoch_ ? epoch_->frames() : 0);
+std::uint64_t LossyRouteSession::wire_frames() const {
+  return carried_frames_ + (arq_ ? arq_->frames() : 0);
 }
 
-ArqStats LossyDynamicRouteSession::arq_stats() const {
-  ArqStats s = carried_stats_;
-  if (epoch_) {
-    s.srtt = epoch_->estimator().srtt();
-    s.rto = epoch_->estimator().rto();
-    s.virtual_time += epoch_->sw ? epoch_->sw->sim().now()
-                                 : epoch_->sr->sim().now();
+ArqStats LossyRouteSession::arq_stats() const {
+  ArqStats s = stats_;
+  if (arq_) {
+    s.srtt = arq_->estimator().srtt();
+    s.rto = arq_->estimator().rto();
+    s.virtual_time += arq_->sim().now();
   }
   return s;
 }

@@ -3,13 +3,14 @@
 //
 // The per-node logic is untouched: LossyRouteSession drives the same pure
 // `route_node_step` as the perfect-link RouteSession, but every hop goes
-// through a reliable ARQ transfer instead of a guaranteed
-// Transport::send.  Two ARQs plug into the same seam (the PR 7 transport-
-// selection seam):
+// through a reliable ARQ transfer (net::WindowTransport) instead of a
+// guaranteed Transport::send.  ArqKind picks its configuration (the
+// transport-selection seam):
 //
-//   * ArqKind::kStopAndWait   — net::ReliableTransport, one frame per RTT;
-//   * ArqKind::kSelectiveRepeat — net::WindowTransport, a sliding window
-//     of `frames_per_message` frames per hop (the pipelined layer E14
+//   * ArqKind::kStopAndWait     — window 1, one frame per hop
+//     (net::stop_and_wait(reliable)), one frame per RTT;
+//   * ArqKind::kSelectiveRepeat — the sliding window of `window`, with
+//     `frames_per_message` frames per hop (the pipelined layer E14
 //     measures against stop-and-wait).
 //
 // Because a reliable transfer either proves exactly-once far-end
@@ -39,11 +40,12 @@
 // (R + 1) * h DATA copies per frame plus the acks — the bounded-retransmit
 // overhead E13/E14 measure against flooding and gossip.
 //
-// LossyDynamicRouteSession composes this with churn: the same reliable
-// hops, driven against a graph::DynamicGraph whose epoch stamp is part of
+// The same session composes this with churn: constructed over a
+// graph::DynamicGraph, its hops run against an epoch stamp that is part of
 // the walk's validity (the §2.8 restart rule of core/dynamic_route.h).
 // Links now fail BOTH ways at once — flapping in the topology layer and
-// dropping frames in the channel layer — in one replayable scenario.
+// dropping frames in the channel layer — in one replayable scenario.  A
+// static topology is simply an epoch that never moves.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +57,6 @@
 #include "explore/sequence.h"
 #include "graph/dynamic.h"
 #include "net/faults.h"
-#include "net/reliable.h"
 #include "net/window.h"
 
 namespace uesr::core {
@@ -67,10 +68,10 @@ enum class LossyVerdict : std::uint8_t {
   kUncertified,
 };
 
-/// Which reliable layer carries each hop.
+/// Which configuration of the ARQ carries each hop.
 enum class ArqKind : std::uint8_t { kStopAndWait, kSelectiveRepeat };
 
-/// Per-transfer/behavioural counters either ARQ surfaces, folded over the
+/// Per-transfer/behavioural counters the ARQ surfaces, folded over the
 /// whole session (satellite: benches assert on retransmission behaviour,
 /// not only outcomes).
 struct ArqStats {
@@ -96,128 +97,86 @@ struct LossyRouteOptions {
   net::FaultPlan faults{};
 };
 
-/// Resumable lossy routing: each step() performs one reliable hop (or
-/// the free terminate step that ends a walk).
-class LossyRouteSession {
- public:
-  /// `net` and `seq` must outlive the session (the same contract as
-  /// RouteSession); t == net::kNoTarget broadcasts.
-  LossyRouteSession(const explore::ReducedGraph& net,
-                    const explore::ExplorationSequence& seq, graph::NodeId s,
-                    graph::NodeId t, LossyRouteOptions options = {});
-
-  /// One reliable hop.  No-op once finished().
-  void step();
-  /// Drives to completion and returns the verdict.
-  LossyVerdict run();
-
-  bool finished() const { return verdict_ != LossyVerdict::kInProgress; }
-  LossyVerdict verdict() const { return verdict_; }
-  bool delivered() const { return verdict_ == LossyVerdict::kDelivered; }
-  bool failure_certified() const {
-    return verdict_ == LossyVerdict::kFailureCertified;
-  }
-  bool uncertified() const { return verdict_ == LossyVerdict::kUncertified; }
-
-  /// The forward walk reached t (even if the confirmation later aborted —
-  /// an uncertified session may still have delivered the payload; only the
-  /// PROOF is missing).
-  bool target_reached() const { return target_reached_; }
-
-  /// Successful link transfers (== the lossless walk's transmissions, when
-  /// the session completes).
-  std::uint64_t hops() const { return hops_; }
-  /// Every DATA/ACK copy put on the wire, lost and duplicate-spawning
-  /// copies included.
-  std::uint64_t wire_frames() const;
-  /// Retransmission behaviour folded over the whole session.
-  ArqStats arq_stats() const;
-
-  /// The configured ARQ.
-  ArqKind arq() const { return options_.arq; }
-
-  /// The stop-and-wait reliability layer; throws std::logic_error under
-  /// kSelectiveRepeat (use window_transport() / sim() there).
-  net::ReliableTransport& transport();
-  const net::ReliableTransport& transport() const;
-  /// The selective-repeat layer; throws std::logic_error under
-  /// kStopAndWait.
-  net::WindowTransport& window_transport();
-  /// The simulator under whichever ARQ runs, for per-link model overrides
-  /// and one-sided flips BEFORE stepping.
-  net::EventSim& sim();
-
- private:
-  net::Arrival reliable_hop(graph::NodeId from, graph::Port out_port,
-                            bool& ok);
-
-  const explore::ReducedGraph* net_;
-  const explore::ExplorationSequence* seq_;
-  LossyRouteOptions options_;
-  std::optional<net::ReliableTransport> sw_;  ///< engaged iff kStopAndWait
-  std::optional<net::WindowTransport> sr_;    ///< engaged iff kSelectiveRepeat
-  net::Header header_;
-  net::Arrival at_{};
-  graph::NodeId start_gadget_ = 0;
-  bool injected_ = false;
-  bool target_reached_ = false;
-  LossyVerdict verdict_ = LossyVerdict::kInProgress;
-  std::uint64_t hops_ = 0;
-  ArqStats stats_;
-};
-
-/// Options of the composed loss + churn session.
-struct LossyDynamicOptions {
-  net::LinkModel link{};
-  net::ReliableOptions reliable{};
-  net::WindowOptions window{};
+/// The transport-selection seam: when TrafficOptions::lossy is set,
+/// every route session runs over its OWN lossy channel + ARQ (state-
+/// disjoint per session, seeded counter_hash(net_seed, id) — thread-count
+/// invariant by construction) instead of a perfect link.  Session verdicts
+/// become per-session LossyVerdicts: delivered / failure-certified /
+/// uncertified-after-budget.  In dynamic mode the channel composes with
+/// churn (links flap AND drop in one replayable scenario); a session whose
+/// budget dies waits for the next epoch and degrades to kUncertified only
+/// once the schedule froze.
+struct LossyTrafficConfig {
+  net::LinkModel link{};            ///< channel model of every link
+  net::ReliableOptions reliable{};  ///< stop-and-wait budget / timeouts
+  net::WindowOptions window{};      ///< selective-repeat window / budgets
   ArqKind arq = ArqKind::kStopAndWait;
-  /// Per-epoch T_n family (restarts size a fresh sequence per snapshot).
-  std::uint64_t seq_seed = 0x5eed0001;
-  /// Channel randomness; epoch e's rebuilt channel is seeded
-  /// counter_hash(net_seed, e) — a pure function of (options, epoch).
+  /// Channel randomness: per-session channel seeds (engine), and under
+  /// churn epoch e's rebuilt channel is seeded counter_hash(net_seed, e) —
+  /// a pure function of (options, epoch).
   std::uint64_t net_seed = 0x5eed0007;
-  /// P(one directed cubic half-edge is down), drawn per epoch from
-  /// counter_hash(net_seed, epoch) — the one-sided fault regime composed
-  /// with churn and loss.  0 disables.
+  /// P(directed cubic half-edge down), drawn per session (static) or per
+  /// (session, epoch) (dynamic) from dedicated streams.  0 disables.
   double one_sided_down = 0.0;
-  /// Fault schedule re-armed into EVERY epoch's fresh channel (the plan is
-  /// in per-epoch virtual time; fresh() per the PR 4 convention).
+  /// Scripted fault schedule armed into EVERY session's private channel
+  /// (crash windows, brownouts, corruption bursts — DESIGN.md §2.12);
+  /// under churn re-armed fresh() into every epoch's channel (plan times
+  /// are in per-epoch virtual time).
   net::FaultPlan faults{};
-  /// When set, each epoch additionally arms a plan SAMPLED from
-  /// FaultPlan::sample(epoch cubic, *chaos, counter_hash(chaos_seed,
-  /// epoch)) — churn, loss, and chaos composed in one replayable schedule.
+  /// When set, each session's channel additionally arms a chaos plan
+  /// sampled per session id (static) or per (session, epoch) (dynamic)
+  /// from counter_hash(chaos_seed, id) — replayable and thread-count
+  /// invariant like every other per-session stream.
   std::optional<net::ChaosConfig> chaos{};
   std::uint64_t chaos_seed = 0x5eedc4a0;  ///< chaos sampling randomness
 };
 
-/// Algorithm Route under loss AND churn at once: reliable ARQ hops driven
-/// against a DynamicGraph, restarting whenever the epoch moves (§2.8).
-/// Every completed walk ran entirely within one epoch over one channel, so
-/// kDelivered / kFailureCertified are exact statements about
-/// completion_epoch() — and loss still only ever degrades to kUncertified.
+/// Options of the composed loss + churn session: the traffic config's
+/// channel, with the per-epoch T_n family seed (restarts size a fresh
+/// sequence per snapshot).
+struct LossyDynamicOptions : LossyTrafficConfig {
+  std::uint64_t seq_seed = 0x5eed0001;
+};
+
+/// Resumable lossy routing: each step() performs one reliable hop (or
+/// the free terminate step that ends a walk).
 ///
-/// A hop that spends its retry budget does NOT end the session here (under
-/// churn the link may heal): the session goes `blocked()` and waits for
-/// the next epoch, the dynamic face of the ChurnRouter wait rule.  The
-/// owner (TrafficEngine, or a test loop) calls give_up() once the schedule
-/// is frozen and no epoch will ever come — only then does the verdict
-/// become kUncertified.
-class LossyDynamicRouteSession {
+/// Over a static network the topology is one epoch that never moves: a hop
+/// that spends its retry budget ends the session at once in kUncertified.
+///
+/// Over a graph::DynamicGraph the session restarts whenever the epoch
+/// moves (§2.8).  Every completed walk ran entirely within one epoch over
+/// one channel, so kDelivered / kFailureCertified are exact statements
+/// about completion_epoch() — and loss still only ever degrades to
+/// kUncertified.  A hop that spends its retry budget does NOT end the
+/// session there (under churn the link may heal): the session goes
+/// `blocked()` and waits for the next epoch, the dynamic face of the
+/// ChurnRouter wait rule.  The owner (TrafficEngine, or a test loop) calls
+/// give_up() once the schedule is frozen and no epoch will ever come —
+/// only then does the verdict become kUncertified.
+class LossyRouteSession {
  public:
-  /// `g` must outlive the session.  Epoch commits must happen strictly
-  /// between step() calls (the TrafficEngine round contract).
-  LossyDynamicRouteSession(const graph::DynamicGraph& g, graph::NodeId s,
-                           graph::NodeId t, LossyDynamicOptions options = {});
-  ~LossyDynamicRouteSession();
-  LossyDynamicRouteSession(const LossyDynamicRouteSession&) = delete;
-  LossyDynamicRouteSession& operator=(const LossyDynamicRouteSession&) =
-      delete;
+  /// Static network.  `net` and `seq` must outlive the session (the same
+  /// contract as RouteSession); t == net::kNoTarget broadcasts.
+  LossyRouteSession(const explore::ReducedGraph& net,
+                    const explore::ExplorationSequence& seq, graph::NodeId s,
+                    graph::NodeId t, LossyRouteOptions options = {});
+  /// Churning network.  `g` must outlive the session.  Epoch commits must
+  /// happen strictly between step() calls (the TrafficEngine round
+  /// contract).  s == t is delivered at once, with no channel.
+  LossyRouteSession(const graph::DynamicGraph& g, graph::NodeId s,
+                    graph::NodeId t, LossyDynamicOptions options = {});
+  ~LossyRouteSession();
+  LossyRouteSession(const LossyRouteSession&) = delete;
+  LossyRouteSession& operator=(const LossyRouteSession&) = delete;
 
   /// One reliable hop against the current epoch (restarting transparently
   /// when the epoch moved).  No-op once finished() or while blocked() in
   /// an unchanged epoch.
   void step();
+  /// Drives to a verdict and returns it; under churn it stops early, at
+  /// kInProgress, when the session blocks.
+  LossyVerdict run();
 
   bool finished() const { return verdict_ != LossyVerdict::kInProgress; }
   LossyVerdict verdict() const { return verdict_; }
@@ -231,7 +190,7 @@ class LossyDynamicRouteSession {
   /// topology changes.  Reports false again as soon as the epoch moved
   /// (the next step() rebuilds and resumes).  Never true once finished().
   bool blocked() const {
-    return blocked_ && graph_->epoch() == session_epoch_;
+    return blocked_ && !finished() && current_epoch() == session_epoch_;
   }
   /// The owner promises no further epoch will come (schedule frozen): a
   /// blocked session resolves to kUncertified; an in-flight one keeps
@@ -239,40 +198,74 @@ class LossyDynamicRouteSession {
   /// blocked.
   void give_up();
 
+  /// The forward walk reached t (even if the confirmation later aborted —
+  /// an uncertified session may still have delivered the payload; only the
+  /// PROOF is missing).
+  bool target_reached() const { return target_reached_; }
+
+  /// Successful link transfers (== the lossless walk's transmissions, when
+  /// the session completes without a restart).
   std::uint64_t hops() const { return hops_; }
+  /// Every DATA/ACK copy put on the wire, lost and duplicate-spawning
+  /// copies included (discarded epochs' channels too: they were really
+  /// sent).
   std::uint64_t wire_frames() const;
+  /// Retransmission behaviour folded over the whole session.
   ArqStats arq_stats() const;
   std::uint64_t restarts() const { return restarts_; }
-  /// Epoch the in-flight (or final) walk runs in.
+  /// Epoch the in-flight (or final) walk runs in (0 on a static network).
   std::uint64_t session_epoch() const { return session_epoch_; }
   /// Epoch the verdict is about; meaningful once finished().
   std::uint64_t completion_epoch() const { return completion_epoch_; }
 
+  /// The configured ARQ.
+  ArqKind arq() const { return options_.arq; }
+  /// The current epoch's ARQ, for per-link model overrides and one-sided
+  /// flips BEFORE stepping.  Absent only for a churn session with s == t.
+  net::WindowTransport& transport() { return *arq_; }
+  const net::WindowTransport& transport() const { return *arq_; }
+  net::EventSim& sim() { return arq_->sim(); }
+
  private:
-  struct Epoch;  ///< per-epoch reduction + sequence + channel
+  struct Epoch;  ///< churn: one epoch's reduction + sequence
 
+  std::uint64_t current_epoch() const {
+    return graph_ ? graph_->epoch() : session_epoch_;
+  }
+  /// Churn: reduces the current snapshot and opens its channel.
   void rebuild();
-  net::Arrival reliable_hop(graph::NodeId from, graph::Port out_port,
-                            bool& ok);
+  /// Opens the current epoch's channel, arms its faults and restarts the
+  /// walk from s.
+  void open_channel();
+  /// One reliable transfer; false when it spent its retry budget.
+  bool hop(graph::NodeId from, graph::Port out_port);
 
-  const graph::DynamicGraph* graph_;
+  const graph::DynamicGraph* graph_ = nullptr;  ///< null: static network
   graph::NodeId s_, t_;
   LossyDynamicOptions options_;
   std::unique_ptr<Epoch> epoch_;
+  const explore::ReducedGraph* net_ = nullptr;  ///< the epoch's network
+  const explore::ExplorationSequence* seq_ = nullptr;
+  std::optional<net::WindowTransport> arq_;  ///< the epoch's channel
   net::Header header_;
   net::Arrival at_{};
   graph::NodeId start_gadget_ = 0;
   bool injected_ = false;
   bool blocked_ = false;
+  bool target_reached_ = false;
   LossyVerdict verdict_ = LossyVerdict::kInProgress;
   std::uint64_t hops_ = 0;
   std::uint64_t restarts_ = 0;
   std::uint64_t session_epoch_ = 0;
   std::uint64_t completion_epoch_ = 0;
-  /// Wire frames / stats of discarded epochs' channels (they were really
-  /// sent).
+  /// Wire frames of discarded epochs' channels; stats_ also carries their
+  /// virtual time.
   std::uint64_t carried_frames_ = 0;
-  ArqStats carried_stats_;
+  ArqStats stats_;
 };
+
+/// The composed loss + churn session: the same class, built over a
+/// graph::DynamicGraph.
+using LossyDynamicRouteSession = LossyRouteSession;
 
 }  // namespace uesr::core

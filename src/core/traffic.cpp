@@ -31,36 +31,15 @@ struct TrafficEngine::Lane {
   virtual std::uint64_t transmissions() const = 0;
   /// Writes the verdict fields once finished().
   virtual void finalize(SessionReport& r) const = 0;
-  /// Lossy-dynamic only: the session spent a retry budget and sleeps until
-  /// the next epoch (stepping it is free and futile).
+  /// Lossy only: the session spent a retry budget and sleeps until the
+  /// next epoch (stepping it is free and futile).
   virtual bool blocked() const { return false; }
-  /// Lossy-dynamic only: the schedule froze — resolve a blocked session to
-  /// its no-verdict end state.
+  /// Lossy only: the schedule froze — resolve a blocked session to its
+  /// no-verdict end state.
   virtual void give_up() {}
 };
 
 namespace {
-
-/// Static-mode Algorithm Route (or the degenerate s == t delivery).
-struct RouteLane final : TrafficEngine::Lane {
-  std::optional<RouteSession> session;  ///< empty iff s == t
-
-  RouteLane(const explore::ReducedGraph& net,
-            const explore::ExplorationSequence& seq, NodeId s, NodeId t) {
-    if (s != t) session.emplace(net, seq, s, t);
-  }
-  void step() override {
-    if (session) session->step();
-  }
-  bool finished() const override { return !session || session->finished(); }
-  std::uint64_t transmissions() const override {
-    return session ? session->transmissions() : 0;
-  }
-  void finalize(SessionReport& r) const override {
-    r.delivered = !session || session->status() == net::Status::kSuccess;
-    r.failure_certified = !r.delivered;
-  }
-};
 
 /// Static-mode broadcast: one kBroadcast walk plus the cover bitmap
 /// (mirrors UesRouter::broadcast, spread over slots).
@@ -143,11 +122,12 @@ struct DynamicRouteLane final : TrafficEngine::Lane {
   }
 };
 
-/// Static-mode lossy route: one private channel + ARQ per session (the
-/// PR 7 seam).  State-disjoint by construction — each lane owns its
-/// EventSim — so parallel rounds stay bit-identical for any thread count.
+/// Lossy route: one private channel + ARQ per session, over the static
+/// network or composed with churn.  State-disjoint by
+/// construction — each lane owns its EventSim — so parallel rounds stay
+/// bit-identical for any thread count.
 struct LossyRouteLane final : TrafficEngine::Lane {
-  std::optional<LossyRouteSession> session;  ///< empty iff s == t
+  std::optional<LossyRouteSession> session;  ///< empty iff static s == t
 
   LossyRouteLane(const explore::ReducedGraph& net,
                  const explore::ExplorationSequence& seq, NodeId s, NodeId t,
@@ -176,12 +156,24 @@ struct LossyRouteLane final : TrafficEngine::Lane {
             sim.set_link_up(v, q, false);
     }
   }
+  LossyRouteLane(const graph::DynamicGraph& g, NodeId s, NodeId t,
+                 const LossyTrafficConfig& cfg, std::uint64_t seq_seed,
+                 std::size_t id) {
+    LossyDynamicOptions options{cfg, seq_seed};
+    options.net_seed = util::counter_hash(cfg.net_seed, id);
+    options.chaos_seed = util::counter_hash(cfg.chaos_seed, id);
+    session.emplace(g, s, t, options);
+  }
   void step() override {
     if (session) session->step();
   }
   bool finished() const override { return !session || session->finished(); }
   std::uint64_t transmissions() const override {
     return session ? session->wire_frames() : 0;
+  }
+  bool blocked() const override { return session && session->blocked(); }
+  void give_up() override {
+    if (session) session->give_up();
   }
   void finalize(SessionReport& r) const override {
     if (!session) {  // degenerate s == t: delivered for free
@@ -192,48 +184,9 @@ struct LossyRouteLane final : TrafficEngine::Lane {
     r.failure_certified = session->failure_certified();
     r.uncertified = session->uncertified();
     r.hops = session->hops();
+    r.restarts = session->restarts();
+    r.completion_epoch = session->completion_epoch();
     const ArqStats st = session->arq_stats();
-    r.retransmits = st.retransmits;
-    r.virtual_time = st.virtual_time;
-  }
-};
-
-/// Dynamic-mode lossy route: the composed loss + churn fault regime.
-struct LossyDynamicRouteLane final : TrafficEngine::Lane {
-  LossyDynamicRouteSession session;
-
-  LossyDynamicRouteLane(const graph::DynamicGraph& g, NodeId s, NodeId t,
-                        const LossyTrafficConfig& cfg, std::uint64_t seq_seed,
-                        std::size_t id)
-      : session(g, s, t, [&] {
-          LossyDynamicOptions options;
-          options.link = cfg.link;
-          options.reliable = cfg.reliable;
-          options.window = cfg.window;
-          options.arq = cfg.arq;
-          options.seq_seed = seq_seed;
-          options.net_seed = util::counter_hash(cfg.net_seed, id);
-          options.one_sided_down = cfg.one_sided_down;
-          options.faults = cfg.faults;
-          options.chaos = cfg.chaos;
-          options.chaos_seed = util::counter_hash(cfg.chaos_seed, id);
-          return options;
-        }()) {}
-  void step() override { session.step(); }
-  bool finished() const override { return session.finished(); }
-  std::uint64_t transmissions() const override {
-    return session.wire_frames();
-  }
-  bool blocked() const override { return session.blocked(); }
-  void give_up() override { session.give_up(); }
-  void finalize(SessionReport& r) const override {
-    r.delivered = session.delivered();
-    r.failure_certified = session.failure_certified();
-    r.uncertified = session.uncertified();
-    r.hops = session.hops();
-    r.restarts = session.restarts();
-    r.completion_epoch = session.completion_epoch();
-    const ArqStats st = session.arq_stats();
     r.retransmits = st.retransmits;
     r.virtual_time = st.virtual_time;
   }
@@ -440,7 +393,7 @@ void TrafficEngine::activate_arrivals() {
       continue;
     }
     if (options_.lossy && dynamic()) {
-      lanes_[id] = std::make_unique<LossyDynamicRouteLane>(
+      lanes_[id] = std::make_unique<LossyRouteLane>(
           *dynamic_graph_, spec.s, spec.t, *options_.lossy,
           options_.seq_seed, id);
     } else if (options_.lossy) {
@@ -450,24 +403,15 @@ void TrafficEngine::activate_arrivals() {
     } else if (dynamic()) {
       lanes_[id] = std::make_unique<DynamicRouteLane>(
           *transport_, spec.s, spec.t, options_.seq_seed);
+    } else if (spec.kind == TrafficKind::kBroadcast) {
+      // (Static perfect-link kRoute sessions all landed on a shard above.)
+      lanes_[id] = std::make_unique<BroadcastLane>(reduced_, *seq_, spec.s);
     } else {
-      switch (spec.kind) {
-        case TrafficKind::kRoute:
-          lanes_[id] =
-              std::make_unique<RouteLane>(reduced_, *seq_, spec.s, spec.t);
-          break;
-        case TrafficKind::kBroadcast:
-          lanes_[id] = std::make_unique<BroadcastLane>(reduced_, *seq_,
-                                                       spec.s);
-          break;
-        case TrafficKind::kHybrid:
-          lanes_[id] = std::make_unique<HybridLane>(
-              options_.hybrid_walker(
-                  *graph_, spec.s, spec.t, spec.hybrid_ttl,
-                  util::counter_hash(options_.walker_seed, id)),
-              reduced_, *seq_, spec.s, spec.t);
-          break;
-      }
+      lanes_[id] = std::make_unique<HybridLane>(
+          options_.hybrid_walker(*graph_, spec.s, spec.t, spec.hybrid_ttl,
+                                 util::counter_hash(options_.walker_seed,
+                                                    id)),
+          reduced_, *seq_, spec.s, spec.t);
     }
     active_.push_back(id);
   }

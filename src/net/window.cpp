@@ -9,8 +9,7 @@ namespace {
 
 // Frame-id packing, 64 bits: | transfer k (33b) | cum (15b) | frame (15b) |
 // kind (1b) |.  DATA leaves cum zero; ACKs carry (frame, cumulative).
-// Transfer ids make late copies of finished transfers recognizably stale,
-// exactly as in net/reliable.h.
+// Transfer ids make late copies of finished transfers recognizably stale.
 constexpr std::uint64_t kKindAck = 1;
 constexpr std::uint64_t kFieldMask = 0x7fff;  // 15 bits
 
@@ -38,6 +37,19 @@ std::uint64_t timer_id(std::uint64_t k, std::uint32_t f,
 }
 
 }  // namespace
+
+WindowOptions stop_and_wait(const ReliableOptions& o) {
+  WindowOptions w;
+  w.window = 1;
+  w.frames_per_message = 1;
+  w.max_retries = o.max_retries;
+  w.rto.initial = o.rto;
+  w.rto.min = o.rto_min;
+  w.rto.max = o.rto_max;
+  w.rto.adaptive = o.adaptive_rto;
+  w.per_link_rto = o.per_link_rto;
+  return w;
+}
 
 WindowTransport::WindowTransport(const graph::Graph& g, std::uint64_t seed,
                                  LinkModel defaults, WindowOptions options)
@@ -82,16 +94,11 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
   // transport-wide one, or this link's own under per_link_rto.
   RtoEstimator& est = working_estimator(sim_.link_index(from, out_port));
 
-  // Sender state, indexed by frame.
-  std::vector<char> acked(F, 0);
-  std::vector<char> retransmitted(F, 0);
-  std::vector<std::uint32_t> attempt(F, 0);
-  std::vector<std::uint32_t> retries(F, 0);
-  std::vector<SimTime> sent_at(F, 0);
-  // Fixed mode backs each frame's timeout off locally (the PR 6
-  // discipline, per frame); adaptive mode arms the shared estimator.
-  std::vector<SimTime> fixed_rto(options_.rto.adaptive ? 0 : F,
-                                 options_.rto.initial);
+  // Per-frame state, sender and receiver side.  Fixed mode backs each
+  // frame's timeout off locally (the fixed-RTO schedule, per frame);
+  // adaptive mode arms the shared estimator.
+  frame_state_.assign(F, Frame{0, options_.rto.initial, 0, false, false});
+  Frame* const fr = frame_state_.data();
   std::uint32_t base = 0;      // lowest unacked frame (window left edge)
   std::uint32_t next_new = 0;  // next never-launched frame
   std::uint32_t inflight = 0;
@@ -101,20 +108,20 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
   // cumulative ack certifies the DURABLE in-order prefix.  Crash-free the
   // two conditions coincide (receiver state is monotone).
   std::uint32_t watermark_seen = 0;
-  // Receiver state: the out-of-order buffer bitmap + cumulative counter.
-  // The bitmap above `cum` is VOLATILE — wiped when the receiving node's
-  // crash epoch moves; [0, cum) is the durable delivered prefix.
-  std::vector<char> received(F, 0);
+  // Receiver state: the out-of-order buffer (Frame::received) + cumulative
+  // counter.  The buffer above `cum` is VOLATILE — wiped when the
+  // receiving node's crash epoch moves; [0, cum) is the durable delivered
+  // prefix.
   std::uint32_t cum = 0;  // frames [0, cum) delivered in order
   const graph::NodeId rx = sim_.graph().rotate(from, out_port).node;
   std::uint64_t rx_epoch = sim_.crash_epochs(rx);
 
   const auto launch = [&](std::uint32_t f) {
-    sent_at[f] = sim_.now();
+    fr[f].sent_at = sim_.now();
     sim_.send(from, out_port, data_id(k, f));
     ++out.data_copies;
-    const SimTime rto = options_.rto.adaptive ? est.rto() : fixed_rto[f];
-    sim_.set_timer(rto, timer_id(k, f, attempt[f]));
+    const SimTime rto = options_.rto.adaptive ? est.rto() : fr[f].fixed_rto;
+    sim_.set_timer(rto, timer_id(k, f, fr[f].attempt));
   };
   const auto fill = [&] {
     while (next_new < F && inflight < options_.window) {
@@ -124,14 +131,14 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     }
   };
   const auto retire = [&](std::uint32_t f, bool clean_sample) {
-    if (acked[f]) return;
-    acked[f] = 1;
+    if (fr[f].acked) return;
+    fr[f].acked = true;
     --inflight;
-    sim_.cancel_timer(timer_id(k, f, attempt[f]));  // lazy heap cleanup
+    sim_.cancel_timer(timer_id(k, f, fr[f].attempt));  // lazy heap cleanup
     // Karn's rule: only a frame that was never retransmitted yields an
     // unambiguous RTT (its ack cannot be confirming an earlier copy).
-    if (clean_sample && !retransmitted[f] && options_.rto.adaptive) {
-      est.sample(sim_.now() - sent_at[f]);
+    if (clean_sample && fr[f].attempt == 0 && options_.rto.adaptive) {
+      est.sample(sim_.now() - fr[f].sent_at);
       ++out.rtt_samples;
     }
   };
@@ -144,20 +151,18 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
           static_cast<std::uint32_t>((ev->timer_id >> 16) & kFieldMask);
       const std::uint32_t att =
           static_cast<std::uint32_t>(ev->timer_id & 0xffff);
-      if (acked[f] || att != attempt[f]) continue;  // stale attempt
-      if (retries[f] >= options_.max_retries) {
+      if (fr[f].acked || att != fr[f].attempt) continue;  // stale attempt
+      if (fr[f].attempt >= options_.max_retries) {
         // This frame's budget is spent: the transfer dies.  Cancel the
         // other in-flight frames' timers on the way out.
         for (std::uint32_t j = 0; j < next_new; ++j)
-          if (!acked[j] && j != f)
-            sim_.cancel_timer(timer_id(k, j, attempt[j]));
+          if (!fr[j].acked && j != f)
+            sim_.cancel_timer(timer_id(k, j, fr[j].attempt));
         break;
       }
-      ++retries[f];
-      ++attempt[f];
+      ++fr[f].attempt;
       ++out.retransmits;
       ++total_retransmits_;
-      retransmitted[f] = 1;
       // Backoff discipline: only the window's OLDEST unacked frame doubles
       // the shared estimator (TCP's single-timer semantics).  A burst that
       // loses k frames must cost one doubling per RTO period, not 2^k —
@@ -171,7 +176,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
           ++total_backoffs_;
         }
       } else {
-        fixed_rto[f] = std::min(fixed_rto[f] * 2, options_.rto.max);
+        fr[f].fixed_rto = std::min(fr[f].fixed_rto * 2, options_.rto.max);
         ++out.backoffs;
         ++total_backoffs_;
       }
@@ -192,14 +197,14 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
       if (sim_.crash_epochs(ev->node) != rx_epoch) {
         rx_epoch = sim_.crash_epochs(ev->node);
         ++out.receiver_resets;
-        for (std::uint32_t j = cum; j < F; ++j) received[j] = 0;
+        for (std::uint32_t j = cum; j < F; ++j) fr[j].received = false;
       }
       // Buffer the frame (exactly once — dups and late copies hit the
       // bitmap), slide the cumulative counter, ack EVERY copy.
       if (!out.message_arrived) out.arrival = Arrival{ev->node, ev->port};
-      if (!received[f]) {
-        received[f] = 1;
-        while (cum < F && received[cum]) ++cum;
+      if (!fr[f].received) {
+        fr[f].received = true;
+        while (cum < F && fr[cum].received) ++cum;
       }
       if (cum == F) out.message_arrived = true;
       sim_.send(ev->node, ev->port, ack_id(k, f, cum));
@@ -213,7 +218,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     watermark_seen = std::max(watermark_seen, watermark);
     for (std::uint32_t j = base; j < watermark; ++j)
       retire(j, /*clean_sample=*/false);
-    while (base < F && acked[base]) ++base;
+    while (base < F && fr[base].acked) ++base;
     if (base == F) {
       if (watermark_seen >= F) {
         out.delivered = true;

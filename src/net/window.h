@@ -1,7 +1,9 @@
-// Selective-repeat sliding-window ARQ over the lossy event simulator —
-// the pipelined reliable layer that replaces stop-and-wait's
-// one-frame-per-RTT bottleneck (ISSUE 7 tentpole; SNIPPETS.md's
-// selective-repeat sender/receiver queues reduced to their invariant).
+// The one ARQ: a selective-repeat sliding window over the lossy event
+// simulator (SNIPPETS.md's selective-repeat sender/receiver queues reduced
+// to their invariant).  Stop-and-wait is its window-1, one-frame
+// configuration (stop_and_wait() below): one DATA frame on the wire, one
+// retransmission timer, resend with backoff until an ACK returns or the
+// budget is spent — the classic frame protocol, with no second code path.
 //
 // One send() moves one MESSAGE of `frames_per_message` frames across the
 // edge at (from, out_port), keeping up to `window` frames in flight at
@@ -11,25 +13,31 @@
 //     timer per in-flight frame, and resends exactly the frames whose
 //     timers fire (selective repeat — never go-back-N's wasteful replay);
 //   * the receiver buffers out-of-order arrivals in a bitmap and acks
-//     EVERY copy it sees with a (frame, cumulative) pair: the selective
-//     half retires that frame from the sender's window, the cumulative
-//     half retires every frame below it — so one surviving ack can repair
-//     many lost ones;
+//     EVERY copy it sees (acks get lost too) with a (frame, cumulative)
+//     pair: the selective half retires that frame from the sender's
+//     window, the cumulative half retires every frame below it — so one
+//     surviving ack can repair many lost ones;
 //   * frames are processed exactly once and the message is complete only
 //     when the receiver's cumulative counter covers it — exactly-once,
 //     in-order delivery by construction.
 //
-// The contract mirrors net/reliable.h one level up:
+// The result is the strongest one-hop contract a lossy channel admits:
 //
 //   * delivered == true   — every frame of the message was acked: the far
 //                           end provably holds the whole message, in
 //                           order, exactly once.
 //   * delivered == false  — some frame spent its per-frame retry budget;
-//                           the sender knows nothing (any subset of frames
-//                           and acks may be the lost half — the same
+//                           the sender KNOWS NOTHING (any subset of frames
+//                           and acks may be the lost half — the
 //                           two-generals gap).  `message_arrived` is the
 //                           simulator's ground truth, for soundness tests
-//                           only.
+//                           only; no protocol on the sender side may read
+//                           it.
+//
+// This is what lets sessions written against Transport's send-semantics
+// run unchanged over loss: a delivered send means exactly what
+// Transport::send's return means, and a failed one aborts the session into
+// the "uncertified after budget" verdict (DESIGN.md §2.10).
 //
 // Timeouts come from the shared Jacobson/Karn estimator (net/rto.h):
 // never-retransmitted frames feed it unambiguous RTT samples, timeouts
@@ -37,12 +45,10 @@
 // sample.  Every schedule remains a pure function of (graph, seed, call
 // sequence) — the adaptation consumes no randomness of its own — so
 // enable_trace() replay stays byte-identical and reports thread-count
-// invariant (pinned by the window replay-regression test).
-//
-// With window == 1 the pipeline degenerates to stop-and-wait pacing —
-// that is the E14 baseline the sliding window is measured against; the
-// bench sweeps window x loss and reports virtual time per delivered
-// message.
+// invariant (pinned by the window replay-regression test).  EventSim keys
+// every channel draw by (seed, link, send counter), never by frame id, so
+// the window-1 configuration draws exactly what a dedicated stop-and-wait
+// transport would.
 //
 // Fault semantics (DESIGN.md §2.12): a corrupted copy fails the frame
 // check sequence and is dropped unprocessed — corruption degrades to loss
@@ -60,10 +66,10 @@
 // all-frames-acked (receiver state is monotone), so the PR 7 replay pins
 // hold byte for byte.
 //
-// Model note: selective repeat needs O(window) bits of LINK-layer state
-// per endpoint (the in-flight bitmap).  The ROUTING layer above stays
-// stateless — the paper's model constrains the routing layer, not the
-// radio (same argument as net/reliable.h).
+// Model note: the ARQ needs O(window) bits of LINK-layer state per
+// endpoint (the in-flight bitmap; O(1) at window 1).  The ROUTING layer
+// above stays stateless — nodes still store nothing between messages; the
+// paper's model constrains the routing layer, not the radio.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +82,7 @@
 namespace uesr::net {
 
 struct WindowOptions {
-  /// In-flight frame cap; 1 degenerates to stop-and-wait pacing.  >= 1.
+  /// In-flight frame cap; 1 paces one frame per round trip.  >= 1.
   std::uint32_t window = 8;
   /// Frames per message (the segmentation that makes the window matter
   /// across one hop).  In [1, 2^15).
@@ -86,11 +92,41 @@ struct WindowOptions {
   std::uint32_t max_retries = 8;
   /// Timeout estimation (shared Jacobson/Karn state across transfers).
   RtoOptions rto{};
-  /// Adaptive-RTO granularity: true keeps one estimator per directed link
-  /// instead of one per transport (see net/reliable.h — the ROADMAP
-  /// per-link follow-on).  Ignored when !rto.adaptive.
+  /// Adaptive-RTO granularity: false keeps ONE estimator for the whole
+  /// transport; true keeps one estimator PER DIRECTED LINK, so transfers
+  /// crossing a slow edge never inflate the timeout of a fast one (the
+  /// TrafficEngine lossy mode engages it).  Ignored when !rto.adaptive.
   bool per_link_rto = false;
 };
+
+/// The stop-and-wait budget and timeouts, in the shape the baselines,
+/// bench drivers and lossy sessions configure them.  stop_and_wait() turns
+/// it into the window-1, one-frame WindowOptions that runs it.
+struct ReliableOptions {
+  /// Retransmissions after the initial copy; the wire sees at most
+  /// max_retries + 1 DATA copies per transfer.  Must be < 2^16 - 1.
+  std::uint32_t max_retries = 8;
+  /// Initial retransmission timeout (virtual time units); must be > 0.
+  /// With adaptive_rto this only seeds the estimator — after the first
+  /// clean sample the timeout tracks the measured RTT (net/rto.h).
+  SimTime rto = 8;
+  /// Backoff ceiling: the timeout doubles per retry, clamped here.
+  SimTime rto_max = 1024;
+  /// Adaptive floor (adaptive mode only); must be > 0.
+  SimTime rto_min = 4;
+  /// Jacobson/Karn adaptation (net/rto.h).  false restores the fixed-RTO
+  /// schedule: every transfer starts at `rto` and doubles locally.
+  bool adaptive_rto = true;
+  /// One estimator per directed link instead of one per transport (see
+  /// WindowOptions::per_link_rto).  Ignored when !adaptive_rto.
+  bool per_link_rto = false;
+};
+
+/// Stop-and-wait as a WindowTransport configuration: window 1, one frame
+/// per message, `rto` -> rto.initial, `rto_min` -> rto.min, `rto_max` ->
+/// rto.max, `adaptive_rto` -> rto.adaptive; the retry budget and per-link
+/// RTO carry over as they are.
+WindowOptions stop_and_wait(const ReliableOptions& o);
 
 /// What one sliding-window message transfer accomplished.
 struct WindowOutcome {
@@ -113,7 +149,9 @@ struct WindowOutcome {
 
 class WindowTransport {
  public:
-  /// The graph must outlive the transport.  Throws on invalid options.
+  /// The graph must outlive the transport.  Throws on invalid options
+  /// (including the RtoEstimator's: rto.initial, rto.min > 0 and
+  /// rto.max >= both).
   WindowTransport(const graph::Graph& g, std::uint64_t seed,
                   LinkModel defaults = {}, WindowOptions options = {});
 
@@ -143,10 +181,21 @@ class WindowTransport {
   const EventSim& sim() const { return sim_; }
 
  private:
+  /// Per-frame state of the transfer in progress, sender and receiver
+  /// side.  Reset, not reallocated, by every send().
+  struct Frame {
+    SimTime sent_at = 0;     ///< launch time of the latest copy
+    SimTime fixed_rto = 0;   ///< fixed-RTO mode: this frame's timeout
+    std::uint32_t attempt = 0;  ///< retransmissions so far (timer tag)
+    bool acked = false;      ///< sender: retired from the window
+    bool received = false;   ///< receiver: buffered (volatile above cum)
+  };
+
   RtoEstimator& working_estimator(std::uint64_t link);
 
   EventSim sim_;
   WindowOptions options_;
+  std::vector<Frame> frame_state_;
   RtoEstimator estimator_;
   /// Per-link estimators (per_link_rto only), indexed by EventSim
   /// link_index; lazily grown to num_links() on first use.

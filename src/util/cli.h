@@ -1,5 +1,7 @@
 // Minimal command-line flag parser for examples and bench binaries.
 // Supports `--name=value`, `--name value`, and boolean `--name` forms.
+// The typed getters throw std::invalid_argument on a malformed value;
+// callers that take user input catch it and exit with a usage error.
 #pragma once
 
 #include <cstdint>
@@ -11,8 +13,9 @@ namespace uesr::util {
 
 class Cli {
  public:
-  /// Parses argv.  Unknown flags are kept and reported via unknown_flags();
-  /// positional arguments are collected in order.
+  /// Parses argv.  Every `--name` is kept, whether or not a getter ever
+  /// asks for it (unknown flags are silently ignored); positional
+  /// arguments are collected in order.
   Cli(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;

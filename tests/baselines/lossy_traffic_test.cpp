@@ -11,6 +11,7 @@
 #include "core/traffic.h"
 #include "graph/churn.h"
 #include "graph/generators.h"
+#include "net/faults.h"
 
 namespace uesr::baselines {
 namespace {
@@ -149,6 +150,26 @@ TEST(LossyTraffic, ComposedLossAndChurnStaysSound) {
   }
 }
 
+// The soundness audit must look up ground truth by the epoch STAMP a
+// report carries, not by how many times the schedule advanced: a churn
+// step that changes nothing commits no new epoch, so the two drift apart.
+// Under this schedule an advance-count index audited every later verdict
+// against the wrong topology and flagged sound certificates as unsound.
+TEST(LossyTraffic, ChurnAuditIndexesGroundTruthByEpochStamp) {
+  const graph::NodeChurnScenario sc(graph::connected_gnp(16, 0.25, 2), 0.1,
+                                    0.5, 2);
+  const Workload w = poisson_workload(16, 256, 0.5, 2);
+  core::LossyTrafficConfig cfg;
+  cfg.link.loss = 0.1;
+  cfg.reliable.max_retries = 4;
+  const LossyTrafficCell cell = lossy_traffic_experiment(
+      sc, /*epoch_period=*/32, /*max_epochs=*/16, w, cfg, 0x5eed0001, 1);
+  EXPECT_EQ(cell.sessions, 256);
+  EXPECT_EQ(cell.unsound, 0);
+  EXPECT_EQ(cell.delivered + cell.certified + cell.uncertified,
+            cell.sessions);
+}
+
 // Termination under the worst case: a dead channel blocks every session
 // each epoch; once the schedule freezes the engine must resolve them all
 // to kUncertified instead of spinning.
@@ -207,6 +228,84 @@ TEST(LossyTraffic, SelectiveRepeatBeatsWindowOnePacingAtLossTen) {
   EXPECT_LT(fast_vtime, slow_vtime);
   EXPECT_EQ(slow.unsound, 0);
   EXPECT_EQ(fast.unsound, 0);
+}
+
+// Replay pin: four whole cells recorded once and compared field for field,
+// so any change to the ARQs, the lossy sessions or the engine lanes that
+// moves a single frame, draw or verdict shows up here.  A static chaos run
+// (loss, duplication, jitter, one-sided links and a sampled crash /
+// corruption / brownout plan per session) and a churn run (loss and
+// one-sided links over node churn), each under stop-and-wait and under the
+// default selective-repeat window.
+LossyTrafficCell pinned(int sessions, int delivered, int certified,
+                        int uncertified, std::uint64_t wire_frames,
+                        std::uint64_t hops, std::uint64_t retransmits,
+                        std::uint64_t restarts, std::uint64_t final_clock,
+                        std::uint64_t vtime_delivered, double p50_tx,
+                        double p99_tx) {
+  LossyTrafficCell c;
+  c.sessions = sessions;
+  c.delivered = delivered;
+  c.certified = certified;
+  c.uncertified = uncertified;
+  c.wire_frames = wire_frames;
+  c.hops = hops;
+  c.retransmits = retransmits;
+  c.restarts = restarts;
+  c.final_clock = final_clock;
+  c.vtime_delivered = vtime_delivered;
+  c.p50_tx = p50_tx;
+  c.p99_tx = p99_tx;
+  return c;
+}
+
+TEST(LossyTraffic, ReplayPinStaticChaosAndChurnCells) {
+  const Graph g = graph::connected_gnp(10, 0.3, 41);
+  const Workload w = poisson_workload(10, 24, 1.0, 43);
+  core::LossyTrafficConfig chaos_cfg;
+  chaos_cfg.link.loss = 0.05;
+  chaos_cfg.link.dup = 0.05;
+  chaos_cfg.link.latency_max = 3;
+  chaos_cfg.one_sided_down = 0.01;
+  chaos_cfg.reliable.max_retries = 6;
+  net::ChaosConfig chaos;
+  chaos.horizon = 1024;
+  chaos.slot = 32;
+  chaos.crash_rate = 0.003;
+  chaos.crash_min = 8;
+  chaos.crash_max = 48;
+  chaos.corrupt_burst_rate = 0.05;
+  chaos.corrupt_level = 0.3;
+  chaos.burst_min = 8;
+  chaos.burst_max = 32;
+  chaos.brownout_rate = 0.002;
+  chaos_cfg.chaos = chaos;
+
+  const graph::NodeChurnScenario sc(graph::connected_gnp(8, 0.4, 47), 0.1,
+                                    0.6, 53);
+  const Workload wc = poisson_workload(8, 16, 1.0, 59);
+  core::LossyTrafficConfig churn_cfg;
+  churn_cfg.link.loss = 0.1;
+  churn_cfg.one_sided_down = 0.02;
+  churn_cfg.reliable.max_retries = 5;
+
+  core::LossyTrafficConfig sr_chaos = chaos_cfg;
+  sr_chaos.arq = core::ArqKind::kSelectiveRepeat;
+  core::LossyTrafficConfig sr_churn = churn_cfg;
+  sr_churn.arq = core::ArqKind::kSelectiveRepeat;
+
+  EXPECT_EQ(lossy_traffic_experiment(g, w, chaos_cfg, 0x5eed0001, 1),
+            pinned(24, 16, 0, 8, 4029, 1753, 300, 0, 915, 9046, 112,
+                   846.59999999999991));
+  EXPECT_EQ(lossy_traffic_experiment(g, w, sr_chaos, 0x5eed0001, 1),
+            pinned(24, 13, 0, 11, 24893, 1394, 1462, 0, 6227, 10686, 817,
+                   5718.3599999999988));
+  EXPECT_EQ(lossy_traffic_experiment(sc, 32, 6, wc, churn_cfg, 0x5eed0001, 1),
+            pinned(16, 10, 0, 6, 56357, 23945, 5705, 48, 49280, 13592,
+                   364.5, 42553.64999999998));
+  EXPECT_EQ(lossy_traffic_experiment(sc, 32, 6, wc, sr_churn, 0x5eed0001, 1),
+            pinned(16, 10, 1, 5, 2465978, 140546, 173854, 48, 2213312,
+                   33256, 1985, 2062616.6999999993));
 }
 
 // The PR 3 determinism contract extended to E14: every cell of the lossy

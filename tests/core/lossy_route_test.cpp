@@ -320,18 +320,6 @@ TEST(LossyRouteSelectiveRepeat, ArqStatsSurfaceRetransmissionBehaviour) {
   EXPECT_GT(stats.srtt, 0u);
 }
 
-TEST(LossyRouteSession, TransportAccessorMatchesArqKind) {
-  Fixture fx(graph::cycle(4));
-  LossyRouteSession sw(fx.net, *fx.seq, 0, 2, {});
-  EXPECT_NO_THROW(sw.transport());
-  EXPECT_THROW(sw.window_transport(), std::logic_error);
-  LossyRouteOptions sr_options;
-  sr_options.arq = ArqKind::kSelectiveRepeat;
-  LossyRouteSession sr(fx.net, *fx.seq, 0, 2, sr_options);
-  EXPECT_NO_THROW(sr.window_transport());
-  EXPECT_THROW(sr.transport(), std::logic_error);
-}
-
 // ---------------------------------------------------------------------------
 // Loss + churn composed: LossyDynamicRouteSession.
 // ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-#include "net/reliable.h"
+// Stop-and-wait is the window-1, one-frame configuration of the one ARQ
+// (net::WindowTransport via net::stop_and_wait).  These cases pin its
+// contract: the exact max_retries + 1 budget, Karn backoff persistence,
+// the fixed-RTO schedule, per-link RTO, stale frames, corruption, crash
+// windows and option validation.  The suite keeps the ReliableTransport
+// name it had when stop-and-wait was a transport class of its own.
+#include "net/window.h"
 
 #include <gtest/gtest.h>
 
@@ -12,12 +18,19 @@ using graph::Graph;
 using graph::NodeId;
 using graph::Port;
 
+/// The stop-and-wait transport: window 1, one frame per message.
+WindowTransport stop_and_wait_transport(const Graph& g, std::uint64_t seed,
+                                        LinkModel m = {},
+                                        ReliableOptions opts = {}) {
+  return WindowTransport(g, seed, m, stop_and_wait(opts));
+}
+
 TEST(ReliableTransport, PerfectChannelIsOneDataOneAck) {
   Graph g = graph::from_edges(2, {{0, 1}});
-  ReliableTransport rt(g, 3);
-  ReliableOutcome out = rt.send(0, 0);
+  WindowTransport rt = stop_and_wait_transport(g, 3);
+  WindowOutcome out = rt.send(0, 0);
   EXPECT_TRUE(out.delivered);
-  EXPECT_TRUE(out.data_arrived);
+  EXPECT_TRUE(out.message_arrived);
   EXPECT_EQ(out.arrival.node, 1u);
   EXPECT_EQ(out.arrival.port, 0u);
   EXPECT_EQ(out.data_copies, 1u);
@@ -34,12 +47,13 @@ TEST(ReliableTransport, RetransmitsThroughLossUntilAcked) {
   int delivered = 0;
   std::uint64_t retransmissions = 0;
   for (int i = 0; i < 40; ++i) {
-    ReliableTransport rt(g, /*seed=*/1000 + i, m, opts);
-    ReliableOutcome out = rt.send(0, 0);
+    WindowTransport rt =
+        stop_and_wait_transport(g, /*seed=*/1000 + i, m, opts);
+    WindowOutcome out = rt.send(0, 0);
     delivered += out.delivered;
     retransmissions += out.data_copies - 1;
     if (out.delivered) {
-      EXPECT_TRUE(out.data_arrived);
+      EXPECT_TRUE(out.message_arrived);
     }
   }
   EXPECT_EQ(delivered, 40);      // P(fail) ~ 0.5^65 per side
@@ -52,10 +66,10 @@ TEST(ReliableTransport, BudgetExhaustionSpendsExactlyMaxRetriesPlusOne) {
   dead.loss = 1.0;
   ReliableOptions opts;
   opts.max_retries = 5;
-  ReliableTransport rt(g, 3, dead, opts);
-  ReliableOutcome out = rt.send(0, 0);
+  WindowTransport rt = stop_and_wait_transport(g, 3, dead, opts);
+  WindowOutcome out = rt.send(0, 0);
   EXPECT_FALSE(out.delivered);
-  EXPECT_FALSE(out.data_arrived);
+  EXPECT_FALSE(out.message_arrived);
   EXPECT_EQ(out.data_copies, 6u);  // initial + 5 retries
   EXPECT_EQ(out.ack_copies, 0u);
 }
@@ -64,11 +78,11 @@ TEST(ReliableTransport, ForwardDirectionDownFailsCleanly) {
   Graph g = graph::from_edges(2, {{0, 1}});
   ReliableOptions opts;
   opts.max_retries = 3;
-  ReliableTransport rt(g, 3, {}, opts);
+  WindowTransport rt = stop_and_wait_transport(g, 3, {}, opts);
   rt.sim().set_link_up(0, 0, false);
-  ReliableOutcome out = rt.send(0, 0);
+  WindowOutcome out = rt.send(0, 0);
   EXPECT_FALSE(out.delivered);
-  EXPECT_FALSE(out.data_arrived);
+  EXPECT_FALSE(out.message_arrived);
   EXPECT_EQ(out.data_copies, 4u);
 }
 
@@ -80,11 +94,11 @@ TEST(ReliableTransport, AckDirectionDownArrivesButNeverConfirms) {
   Graph g = graph::from_edges(2, {{0, 1}});
   ReliableOptions opts;
   opts.max_retries = 3;
-  ReliableTransport rt(g, 3, {}, opts);
+  WindowTransport rt = stop_and_wait_transport(g, 3, {}, opts);
   rt.sim().set_link_up(1, 0, false);  // kill the 1 -> 0 (ack) direction only
-  ReliableOutcome out = rt.send(0, 0);
+  WindowOutcome out = rt.send(0, 0);
   EXPECT_FALSE(out.delivered);
-  EXPECT_TRUE(out.data_arrived);
+  EXPECT_TRUE(out.message_arrived);
   EXPECT_EQ(out.arrival.node, 1u);
   EXPECT_EQ(out.data_copies, 4u);
   EXPECT_EQ(out.ack_copies, 4u);  // the receiver acked every copy, in vain
@@ -102,9 +116,9 @@ TEST(ReliableTransport, DuplicationAloneCannotBreakExactlyOnce) {
   // mean RTT and time out on the 13-tick jitter tail, which is allowed
   // behaviour but not what this test is about.
   opts.adaptive_rto = false;
-  ReliableTransport rt(g, 3, m, opts);
+  WindowTransport rt = stop_and_wait_transport(g, 3, m, opts);
   for (int i = 0; i < 20; ++i) {
-    ReliableOutcome out = rt.send(0, 0);
+    WindowOutcome out = rt.send(0, 0);
     EXPECT_TRUE(out.delivered);
     EXPECT_EQ(out.arrival.node, 1u);
     // data_copies == 1: no loss, so never a retransmit; the channel's extra
@@ -115,16 +129,17 @@ TEST(ReliableTransport, DuplicationAloneCannotBreakExactlyOnce) {
 
 TEST(ReliableTransport, AdaptiveRtoConvergesOnCleanLink) {
   Graph g = graph::from_edges(2, {{0, 1}});
-  ReliableTransport rt(g, 3);  // adaptive_rto defaults on
-  SimTime first = 0;
+  // adaptive_rto defaults on
+  WindowTransport rt = stop_and_wait_transport(g, 3);
   for (int i = 0; i < 16; ++i) {
-    ReliableOutcome out = rt.send(0, 0);
+    // The RTO the first copy is armed with.
+    const SimTime first_rto = rt.estimator().rto();
+    WindowOutcome out = rt.send(0, 0);
     ASSERT_TRUE(out.delivered);
     EXPECT_EQ(out.retransmits, 0u);
     EXPECT_EQ(out.rtt_samples, 1u);  // one clean Karn sample per transfer
     if (i == 0) {
-      first = out.first_rto;
-      EXPECT_EQ(first, 8u);  // seeded from options().rto
+      EXPECT_EQ(first_rto, 8u);  // seeded from ReliableOptions::rto
     }
   }
   EXPECT_EQ(rt.estimator().srtt(), 2u);  // unit latency each way
@@ -137,20 +152,21 @@ TEST(ReliableTransport, KarnBackoffPersistsAcrossTransfersUntilSampled) {
   Graph g = graph::from_edges(2, {{0, 1}});
   ReliableOptions opts;
   opts.max_retries = 4;
-  ReliableTransport rt(g, 3, {}, opts);
+  WindowTransport rt = stop_and_wait_transport(g, 3, {}, opts);
   rt.sim().set_link_up(0, 0, false);  // forward dead: timeouts only
-  ReliableOutcome failed = rt.send(0, 0);
+  WindowOutcome failed = rt.send(0, 0);
   EXPECT_FALSE(failed.delivered);
   EXPECT_GT(failed.backoffs, 0u);
   EXPECT_EQ(failed.rtt_samples, 0u);  // ambiguous copies feed nothing
   const SimTime backed_off = rt.estimator().rto();
   EXPECT_GT(backed_off, opts.rto);
   rt.sim().set_link_up(0, 0, true);
-  ReliableOutcome healed = rt.send(0, 0);
+  const SimTime healed_first_rto = rt.estimator().rto();
+  WindowOutcome healed = rt.send(0, 0);
   EXPECT_TRUE(healed.delivered);
   // Karn: the backed-off timeout was still armed for the first copy after
   // healing; the clean sample then ended the backoff.
-  EXPECT_EQ(healed.first_rto, backed_off);
+  EXPECT_EQ(healed_first_rto, backed_off);
   EXPECT_EQ(healed.rtt_samples, 1u);
   EXPECT_LT(rt.estimator().rto(), backed_off);
 }
@@ -167,13 +183,13 @@ TEST(ReliableTransport, StaleFramesOfEarlierTransfersAreIgnored) {
   ReliableOptions opts;
   opts.max_retries = 20;
   opts.rto = 4;
-  ReliableTransport rt(g, 23, m, opts);
+  WindowTransport rt = stop_and_wait_transport(g, 23, m, opts);
   util::Pcg32 walk(9);
   NodeId at = 0;
   int ok = 0;
   for (int i = 0; i < 200; ++i) {
     const Port out_port = walk.next_below(g.degree(at));
-    ReliableOutcome out = rt.send(at, out_port);
+    WindowOutcome out = rt.send(at, out_port);
     if (out.delivered) {
       // The arrival must be the genuine far end of the edge we sent on —
       // never a stale frame's endpoint.
@@ -196,8 +212,9 @@ TEST(ReliableTransport, BackoffDeterministicAcrossRuns) {
   std::uint64_t frames[2];
   bool delivered[2];
   for (int run = 0; run < 2; ++run) {
-    ReliableTransport rt(g, /*seed=*/0xbeef, m, opts);
-    ReliableOutcome out = rt.send(0, 0);
+    WindowTransport rt =
+        stop_and_wait_transport(g, /*seed=*/0xbeef, m, opts);
+    WindowOutcome out = rt.send(0, 0);
     frames[run] = rt.frames();
     delivered[run] = out.delivered;
   }
@@ -211,10 +228,10 @@ TEST(ReliableTransport, FullCorruptionDegradesToLossAndSpendsTheBudget) {
   m.corrupt = 1.0;  // every copy arrives, none passes the CRC
   ReliableOptions opts;
   opts.max_retries = 5;
-  ReliableTransport rt(g, 3, m, opts);
-  ReliableOutcome out = rt.send(0, 0);
+  WindowTransport rt = stop_and_wait_transport(g, 3, m, opts);
+  WindowOutcome out = rt.send(0, 0);
   EXPECT_FALSE(out.delivered);
-  EXPECT_FALSE(out.data_arrived);  // dropped unprocessed — never "arrived"
+  EXPECT_FALSE(out.message_arrived);  // dropped unprocessed — never "arrived"
   EXPECT_EQ(out.data_copies, 6u);
   EXPECT_EQ(out.corrupt_drops, 6u);  // each copy was rejected on arrival
   EXPECT_EQ(out.ack_copies, 0u);     // a rejected frame is never acked
@@ -230,8 +247,9 @@ TEST(ReliableTransport, ModerateCorruptionIsRecoveredByRetransmission) {
   int delivered = 0;
   std::uint64_t drops = 0;
   for (int i = 0; i < 40; ++i) {
-    ReliableTransport rt(g, /*seed=*/500 + i, m, opts);
-    ReliableOutcome out = rt.send(0, 0);
+    WindowTransport rt =
+        stop_and_wait_transport(g, /*seed=*/500 + i, m, opts);
+    WindowOutcome out = rt.send(0, 0);
     delivered += out.delivered;
     drops += out.corrupt_drops;
   }
@@ -248,7 +266,7 @@ TEST(ReliableTransport, ReceiverCrashWindowNeverDoubleDelivers) {
   Graph g = graph::from_edges(2, {{0, 1}});
   ReliableOptions opts;
   opts.max_retries = 32;
-  ReliableTransport rt(g, 3, {}, opts);
+  WindowTransport rt = stop_and_wait_transport(g, 3, {}, opts);
   FaultAction crash;
   crash.kind = FaultAction::Kind::kCrash;
   crash.node = 1;
@@ -257,7 +275,7 @@ TEST(ReliableTransport, ReceiverCrashWindowNeverDoubleDelivers) {
   recover.node = 1;
   rt.sim().schedule_fault(1, crash);    // swallow the first copies
   rt.sim().schedule_fault(40, recover);
-  ReliableOutcome out = rt.send(0, 0);
+  WindowOutcome out = rt.send(0, 0);
   EXPECT_TRUE(out.delivered);
   EXPECT_GT(out.retransmits, 0u);  // the window really cost retries
   EXPECT_GT(rt.sim().frames_crash_dropped(), 0u);
@@ -271,7 +289,7 @@ TEST(ReliableTransport, PerLinkRtoKeepsSlowAndFastLinksApart) {
   Graph g = graph::cycle(3);
   ReliableOptions opts;
   opts.per_link_rto = true;
-  ReliableTransport rt(g, 3, {}, opts);
+  WindowTransport rt = stop_and_wait_transport(g, 3, {}, opts);
   LinkModel slow;
   slow.latency_min = slow.latency_max = 50;
   const graph::HalfEdge back = g.rotate(0, 0);  // the ack's return edge
@@ -296,11 +314,13 @@ TEST(ReliableTransport, ValidatesOptions) {
   Graph g = graph::cycle(3);
   ReliableOptions zero_rto;
   zero_rto.rto = 0;
-  EXPECT_THROW(ReliableTransport(g, 3, {}, zero_rto), std::invalid_argument);
+  EXPECT_THROW(stop_and_wait_transport(g, 3, {}, zero_rto),
+               std::invalid_argument);
   ReliableOptions inverted;
   inverted.rto = 100;
   inverted.rto_max = 10;
-  EXPECT_THROW(ReliableTransport(g, 3, {}, inverted), std::invalid_argument);
+  EXPECT_THROW(stop_and_wait_transport(g, 3, {}, inverted),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -13,13 +13,14 @@
 //   P7  cover times are prefix-stable (a longer sequence with the same
 //       seed covers at the same step);
 //   P8  the CSR layout is observationally a rotation map;
-//   P9  the lossy transport degenerates exactly: at loss = 0, zero
-//       jitter, bidirectional links, net::LossyTransport replays the
-//       arrival sequence and transmission count of net::Transport over
-//       the same walk;
-//   P10 both ARQs degenerate to the same walk: at loss = 0 the sliding
-//       window (net::WindowTransport) is arrival-for-arrival identical
-//       to stop-and-wait (net::ReliableTransport) on every topology;
+//   P9  the lossy channel degenerates exactly: at loss = 0, zero jitter,
+//       bidirectional links, net::EventSim replays the arrival sequence
+//       and transmission count of net::Transport over the same walk;
+//   P10 the ARQ degenerates exactly: at loss = 0, zero jitter,
+//       bidirectional links, net::WindowTransport at window 1 x 1 frame
+//       (stop-and-wait) and at window 2 x 4 frames both replay
+//       net::Transport's arrival sequence over the same walk, hop for
+//       hop, with exactly 2·F wire frames per hop;
 //   P11 the fault layer at zero is invisible: corrupt = 0 plus an armed
 //       all-zero-rate FaultPlan leaves the lossy channel byte-identical
 //       (trace line for trace line) to the plain PR 7 transport.
@@ -37,8 +38,7 @@
 #include "graph/generators.h"
 #include "graph/geometric.h"
 #include "net/faults.h"
-#include "net/lossy_transport.h"
-#include "net/reliable.h"
+#include "net/sim.h"
 #include "net/transport.h"
 #include "net/window.h"
 #include "util/rng.h"
@@ -237,58 +237,67 @@ TEST_P(GraphZoo, RelabelInverseRoundTrip) {
   EXPECT_EQ(relabeled.relabeled(inverse), g_);
 }
 
-// ---- P9: the lossy transport degenerates exactly -----------------------
+// ---- P9: the lossy channel degenerates exactly -------------------------
+// One frame per hop over net::EventSim with the default link model (loss 0,
+// latency pinned at 1) lands where net::Transport says, hop for hop, and
+// costs exactly one transmission.
 
 TEST_P(GraphZoo, LossyTransportAtZeroLossReplaysTransport) {
   if (g_.num_nodes() == 0 || g_.degree(0) == 0) GTEST_SKIP();
   net::Transport perfect(g_);
-  net::LossyTransport lossy(g_, /*seed=*/0x5eed0009);  // defaults: loss = 0,
-                                                       // latency pinned at 1
+  net::EventSim lossy(g_, /*seed=*/0x5eed0009);
   util::Pcg32 walk(0x99);
   graph::NodeId at = 0;
   for (int i = 0; i < 300; ++i) {
     const graph::Port out = walk.next_below(g_.degree(at));
     const net::Arrival a = perfect.send(at, out);
-    const auto b = lossy.send(at, out);
-    ASSERT_TRUE(b.has_value()) << "step " << i;
-    ASSERT_EQ(a.node, b->node) << "step " << i;
-    ASSERT_EQ(a.port, b->port) << "step " << i;
+    lossy.send(at, out, /*frame_id=*/static_cast<std::uint64_t>(i));
+    const auto ev = lossy.next();
+    ASSERT_TRUE(ev.has_value()) << "step " << i;
+    ASSERT_EQ(ev->kind, net::SimEventKind::kArrival) << "step " << i;
+    ASSERT_EQ(ev->frame_id, static_cast<std::uint64_t>(i)) << "step " << i;
+    ASSERT_EQ(a.node, ev->node) << "step " << i;
+    ASSERT_EQ(a.port, ev->port) << "step " << i;
     at = a.node;
   }
+  EXPECT_EQ(lossy.pending(), 0u);
   EXPECT_EQ(perfect.transmissions(), lossy.transmissions());
   EXPECT_EQ(lossy.transmissions(), 300u);
 }
 
-// ---- P10: both ARQs degenerate to the same walk ------------------------
-// At loss 0 the sliding window is invisible to the routing layer: on every
-// zoo topology, selective repeat hands back the same arrival, hop for hop,
-// as stop-and-wait — the transport-selection seam cannot change a walk.
+// ---- P10: the ARQ degenerates exactly ----------------------------------
+// At loss 0 the ARQ is invisible to the routing layer: on every zoo
+// topology, stop-and-wait (window 1 x 1 frame) and the sliding window
+// (window 2 x 4 frames) hand back net::Transport's arrival, hop for hop —
+// the transport-selection seam cannot change a walk.  Clean links cost
+// one DATA + one ACK per frame and no resends.
 
 TEST_P(GraphZoo, WindowArqAtZeroLossMatchesStopAndWaitArrivals) {
   if (g_.num_nodes() == 0 || g_.degree(0) == 0) GTEST_SKIP();
-  net::ReliableTransport sw(g_, /*seed=*/0x5eed000a, {}, {});
-  net::WindowOptions wopt;
-  wopt.frames_per_message = 4;
-  wopt.window = 2;
-  net::WindowTransport sr(g_, /*seed=*/0x5eed000b, {}, wopt);
-  util::Pcg32 walk(0xa7);
-  graph::NodeId at = 0;
-  for (int i = 0; i < 200; ++i) {
-    const graph::Port out = walk.next_below(g_.degree(at));
-    const net::ReliableOutcome a = sw.send(at, out);
-    const net::WindowOutcome b = sr.send(at, out);
-    ASSERT_TRUE(a.delivered) << "step " << i;
-    ASSERT_TRUE(b.delivered) << "step " << i;
-    ASSERT_EQ(a.arrival.node, b.arrival.node) << "step " << i;
-    ASSERT_EQ(a.arrival.port, b.arrival.port) << "step " << i;
-    EXPECT_EQ(a.retransmits, 0u) << "step " << i;
-    EXPECT_EQ(b.retransmits, 0u) << "step " << i;
-    at = a.arrival.node;
+  net::WindowOptions pipelined;
+  pipelined.window = 2;
+  pipelined.frames_per_message = 4;
+  for (const net::WindowOptions& wopt :
+       {net::stop_and_wait(net::ReliableOptions{}), pipelined}) {
+    net::Transport perfect(g_);
+    net::WindowTransport arq(g_, /*seed=*/0x5eed000b, {}, wopt);
+    util::Pcg32 walk(0xa7);
+    graph::NodeId at = 0;
+    for (int i = 0; i < 200; ++i) {
+      const graph::Port out = walk.next_below(g_.degree(at));
+      const net::Arrival a = perfect.send(at, out);
+      const net::WindowOutcome b = arq.send(at, out);
+      ASSERT_TRUE(b.delivered) << "step " << i;
+      ASSERT_EQ(a.node, b.arrival.node) << "step " << i;
+      ASSERT_EQ(a.port, b.arrival.port) << "step " << i;
+      EXPECT_EQ(b.retransmits, 0u) << "step " << i;
+      EXPECT_EQ(arq.frames(), (i + 1) * 2 * wopt.frames_per_message)
+          << "step " << i;
+      at = a.node;
+    }
+    EXPECT_EQ(perfect.transmissions(), 200u);
+    EXPECT_EQ(arq.total_retransmits(), 0u);
   }
-  // Clean links: one DATA + one ACK per frame, no resends anywhere.
-  EXPECT_EQ(sr.frames(), 200u * 2 * wopt.frames_per_message);
-  EXPECT_EQ(sr.total_retransmits(), 0u);
-  EXPECT_EQ(sw.total_retransmits(), 0u);
 }
 
 // ---- P11: the fault layer at zero is invisible -------------------------
