@@ -176,13 +176,14 @@ std::optional<core::SessionSpec> OpenLoopWorkload::next() {
   return spec;
 }
 
-TrafficCell summarize_traffic(const std::vector<core::SessionReport>& reports,
-                              std::uint64_t final_clock) {
+TrafficCell summarize_traffic(
+    const std::vector<core::SessionReport>& reports) {
   TrafficCell cell;
-  cell.final_clock = final_clock;
   util::Samples tx;
   for (const core::SessionReport& r : reports) {
     ++cell.sessions;
+    if (r.finished)
+      cell.final_clock = std::max(cell.final_clock, r.completed_at);
     cell.delivered += r.delivered;
     cell.certified += r.failure_certified;
     cell.exhausted += r.exhausted;
@@ -210,7 +211,7 @@ TrafficCell traffic_experiment(const graph::Graph& g, const Workload& w,
   core::TrafficEngine engine(g, opt);
   engine.admit_all(w.sessions);
   engine.run();
-  return summarize_traffic(engine.reports(), engine.clock());
+  return summarize_traffic(engine.reports());
 }
 
 TrafficCell open_loop_traffic_experiment(const graph::Graph& g,
@@ -225,7 +226,7 @@ TrafficCell open_loop_traffic_experiment(const graph::Graph& g,
   OpenLoopWorkload source(cfg);
   engine.attach_arrivals(source);
   engine.run();
-  return summarize_traffic(engine.reports(), engine.clock());
+  return summarize_traffic(engine.reports());
 }
 
 TrafficCell traffic_experiment(const graph::Scenario& scenario,
@@ -240,7 +241,7 @@ TrafficCell traffic_experiment(const graph::Scenario& scenario,
   core::TrafficEngine engine(scenario, opt);
   engine.admit_all(w.sessions);
   engine.run();
-  return summarize_traffic(engine.reports(), engine.clock());
+  return summarize_traffic(engine.reports());
 }
 
 namespace {

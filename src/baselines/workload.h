@@ -124,7 +124,9 @@ struct TrafficCell {
   int departed = 0;    ///< open-loop sessions that left before a verdict
   std::uint64_t transmissions = 0;  ///< total frames across all sessions
   std::uint64_t restarts = 0;       ///< dynamic-mode epoch restarts
-  std::uint64_t final_clock = 0;    ///< shared-clock tick the engine drained at
+  /// Shared-clock tick the engine drained at: the last completed_at over
+  /// finished sessions (not TrafficEngine::clock(), a round boundary).
+  std::uint64_t final_clock = 0;
   /// Per-session completion transmissions (p50/p99 over completed
   /// sessions; open-loop departures are excluded).  In
   /// the slotted model these equal per-session latency in clock ticks:
@@ -137,8 +139,8 @@ struct TrafficCell {
 };
 
 /// Folds finished reports (session-id order) into a cell.
-TrafficCell summarize_traffic(const std::vector<core::SessionReport>& reports,
-                              std::uint64_t final_clock);
+TrafficCell summarize_traffic(
+    const std::vector<core::SessionReport>& reports);
 
 /// Static topology: admits `w` into a TrafficEngine over `g` and runs it
 /// to completion.  threads: worker lanes (0 = UESR_THREADS / hardware);

@@ -140,41 +140,63 @@ bool MultiWalkArena::step_lane(std::size_t w, std::size_t r,
   return true;
 }
 
+void MultiWalkArena::step_block(const std::size_t* walks,
+                                const std::uint64_t* budgets,
+                                std::size_t count) {
+  for (std::size_t base = 0; base < count; base += kBlockLanes)
+    sweep_block(walks + base, budgets + base,
+                std::min(kBlockLanes, count - base));
+}
+
 void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
                                 std::uint64_t budget) {
   if (budget == 0) return;
-  for (std::size_t base = 0; base < count; base += kBlockLanes) {
-    const std::size_t lanes = std::min(kBlockLanes, count - base);
-    // Lanes live in direction-partitioned lists (scratch-row indices):
-    // interleaved directions would make the forward/backward branch
-    // effectively random per step, and the mispredicts would dominate the
-    // sweep.  Rows are bound to walks for the whole block, so symbol
-    // windows survive lane retirements.  Every step consumes exactly one
-    // slot (the backward terminate consumes zero and retires its lane),
-    // so the slot index doubles as every live lane's spent budget — no
-    // per-lane accounting on the hot path.
-    std::size_t fwd_a[kBlockLanes];
-    std::size_t fwd_b[kBlockLanes];
-    std::size_t bwd_a[kBlockLanes];
-    std::size_t bwd_b[kBlockLanes];
-    std::size_t* fwd = fwd_a;
-    std::size_t* bwd = bwd_a;
-    std::size_t* fwd_next = fwd_b;
-    std::size_t* bwd_next = bwd_b;
-    std::size_t nf = 0;
-    std::size_t nb = 0;
-    for (std::size_t r = 0; r < lanes; ++r) {
-      win_len_[r] = 0;  // scratch rows are per-call
-      const std::size_t w = walks[base + r];
-      if (finished(w)) continue;
-      if ((flags_[w] & kBackward) != 0)
-        bwd[nb++] = r;
-      else
-        fwd[nf++] = r;
-      prefetch_node(node_[w]);  // warm the first slot's rotation loads
-    }
-    std::uint64_t slot = 0;
-    for (; slot < budget && nf + nb > 0; ++slot) {
+  std::uint64_t budgets[kBlockLanes];
+  std::fill(budgets, budgets + kBlockLanes, budget);
+  for (std::size_t base = 0; base < count; base += kBlockLanes)
+    sweep_block(walks + base, budgets, std::min(kBlockLanes, count - base));
+}
+
+void MultiWalkArena::sweep_block(const std::size_t* walks,
+                                 const std::uint64_t* budgets,
+                                 std::size_t lanes) {
+  // Lanes live in direction-partitioned lists (scratch-row indices):
+  // interleaved directions would make the forward/backward branch
+  // effectively random per step, and the mispredicts would dominate the
+  // sweep.  Rows are bound to walks for the whole block, so symbol windows
+  // survive lane retirements.  Every step consumes exactly one slot (the
+  // backward terminate consumes zero and retires its lane), so the slot
+  // index doubles as every live lane's spent budget: the sweeps run
+  // unchecked up to the smallest live grant, and only there do the lanes
+  // whose grant is spent leave — no per-lane accounting on the hot path.
+  std::size_t fwd_a[kBlockLanes];
+  std::size_t fwd_b[kBlockLanes];
+  std::size_t bwd_a[kBlockLanes];
+  std::size_t bwd_b[kBlockLanes];
+  std::size_t* fwd = fwd_a;
+  std::size_t* bwd = bwd_a;
+  std::size_t* fwd_next = fwd_b;
+  std::size_t* bwd_next = bwd_b;
+  std::size_t nf = 0;
+  std::size_t nb = 0;
+  for (std::size_t r = 0; r < lanes; ++r) {
+    win_len_[r] = 0;  // scratch rows are per-call
+    const std::size_t w = walks[r];
+    if (finished(w) || budgets[r] == 0) continue;
+    if ((flags_[w] & kBackward) != 0)
+      bwd[nb++] = r;
+    else
+      fwd[nf++] = r;
+    prefetch_node(node_[w]);  // warm the first slot's rotation loads
+  }
+  std::uint64_t slot = 0;
+  while (nf + nb > 0) {
+    std::uint64_t stop = ~std::uint64_t{0};
+    for (std::size_t k = 0; k < nf; ++k)
+      stop = std::min(stop, budgets[fwd[k]]);
+    for (std::size_t k = 0; k < nb; ++k)
+      stop = std::min(stop, budgets[bwd[k]]);
+    for (; slot < stop && nf + nb > 0; ++slot) {
       // Step sweep: one transmission slot for each live lane; each step
       // prefetches its landing node's rotation entry for the next slot.
       // Target checks are deferred: a forward lane records where it
@@ -187,7 +209,7 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
       std::size_t nb2 = 0;
       for (std::size_t k = 0; k < nf; ++k) {
         const std::size_t r = fwd[k];
-        const std::size_t w = walks[base + r];
+        const std::size_t w = walks[r];
         NodeId land = kNoCheck;
         const bool turned = step_lane<false>(w, r, &land);
         if (land != kNoCheck) {
@@ -201,13 +223,13 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
       }
       for (std::size_t k = 0; k < nb; ++k) {
         const std::size_t r = bwd[k];
-        const std::size_t w = walks[base + r];
+        const std::size_t w = walks[r];
         NodeId land = kNoCheck;
         if (step_lane<true>(w, r, &land)) {
           bwd_next[nb2++] = r;
         } else {
           // The free terminate: the walk finished having spent one slot
-          // per prior sweep this call.  A lane whose budget runs out
+          // per prior sweep this call.  A lane whose grant runs out
           // mid-rewind instead leaves the terminate for the next call —
           // exactly the scalar engine-loop semantics (completed_at is
           // unaffected: the terminate uses zero slots).
@@ -226,9 +248,21 @@ void MultiWalkArena::step_block(const std::size_t* walks, std::size_t count,
         if (original_of_[landed[c]] == target_[landed_w[c]])
           flags_[landed_w[c]] |= kTargetReached;
     }
-    // Survivors spent one slot per sweep.
-    for (std::size_t k = 0; k < nf; ++k) tx_[walks[base + fwd[k]]] += slot;
-    for (std::size_t k = 0; k < nb; ++k) tx_[walks[base + bwd[k]]] += slot;
+    // Grant boundary: lanes whose grant is spent leave, charged exactly
+    // their grant (one slot per sweep); the rest sweep on to the next.
+    auto retire_spent = [&](std::size_t* list, std::size_t& n) {
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t r = list[k];
+        if (budgets[r] == slot)
+          tx_[walks[r]] += slot;
+        else
+          list[kept++] = r;
+      }
+      n = kept;
+    };
+    retire_spent(fwd, nf);
+    retire_spent(bwd, nb);
   }
 }
 

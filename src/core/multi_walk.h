@@ -61,11 +61,19 @@ class MultiWalkArena {
 
   std::size_t size() const { return node_.size(); }
 
-  /// The kernel: grants each of walks[0..count) up to `budget` further
-  /// transmissions, sweeping kBlockLanes walks per slot.  Finished walks
-  /// in the list are skipped for free.  Each walk's trajectory is
+  /// The kernel: grants walks[i] up to budgets[i] further transmissions,
+  /// sweeping kBlockLanes walks per slot.  A lane leaves the sweep when
+  /// its own grant is spent and is charged exactly that grant; a walk
+  /// that finishes first is charged the slots it used (the terminate that
+  /// ends a rewind is free, but a grant that runs out with only the
+  /// terminate left leaves it for the next call).  Finished walks and
+  /// zero grants are skipped for free.  Each walk's trajectory is
   /// independent of the others, so any partition of a walk set into
-  /// step_block calls yields bit-identical per-walk outcomes.
+  /// step_block calls — and of a walk's budget into grants — yields
+  /// bit-identical per-walk outcomes.
+  void step_block(const std::size_t* walks, const std::uint64_t* budgets,
+                  std::size_t count);
+  /// Uniform grant: every walk in the list gets `budget`.
   void step_block(const std::size_t* walks, std::size_t count,
                   std::uint64_t budget);
 
@@ -122,6 +130,9 @@ class MultiWalkArena {
     __builtin_prefetch(ports_->word_of(i), 0, 1);
   }
   explore::Symbol lane_symbol(std::size_t w, std::size_t r, std::uint64_t j);
+  /// One block of at most kBlockLanes walks (scratch row r = walks[r]).
+  void sweep_block(const std::size_t* walks, const std::uint64_t* budgets,
+                   std::size_t lanes);
 
   // Shared immutable structure (borrowed).
   const explore::ReducedGraph* net_;

@@ -206,9 +206,8 @@ struct TrafficEngine::PoolHolder {
 /// on, so reports are bit-identical for any shard count.
 struct TrafficEngine::Shard {
   MultiWalkArena arena;
-  std::vector<std::size_t> active;        ///< session ids, ascending
-  std::vector<std::size_t> walks;         ///< scratch: walk per active id
-  std::vector<std::uint64_t> tx_before;   ///< scratch: round tx baseline
+  std::vector<std::size_t> active;  ///< in-flight session ids
+  std::size_t retired = 0;  ///< walks the last step_shard() retired
   Shard(const explore::ReducedGraph& net,
         const explore::ExplorationSequence& seq)
       : arena(net, seq) {}
@@ -287,9 +286,15 @@ std::size_t TrafficEngine::admit(const SessionSpec& spec) {
                               // see the epoch they arrive in)
   specs_.push_back(spec);
   arena_walk_.push_back(static_cast<std::size_t>(-1));
-  pending_.push_back(id);
+  // Route fast path: static perfect-link kRoute sessions run on the SoA
+  // arena shards, everything else on a scalar lane.
+  if (!shards_.empty() && spec.kind == TrafficKind::kRoute) {
+    arena_pending_.push_back(id);
+  } else {
+    pending_.push_back(id);
+    if (spec.depart_at != 0) lane_departures_ = true;
+  }
   ++unfinished_;
-  if (spec.depart_at != 0) any_departures_ = true;
   return id;
 }
 
@@ -320,8 +325,8 @@ void TrafficEngine::pull_arrivals() {
 }
 
 void TrafficEngine::process_departures() {
-  if (!any_departures_) return;
-  // Serial, in id order within each list: departures are report writes.
+  if (!lane_departures_) return;
+  // Serial, in id order: departures are report writes.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < active_.size(); ++i) {
     const std::size_t id = active_[i];
@@ -339,26 +344,6 @@ void TrafficEngine::process_departures() {
     --unfinished_;
   }
   active_.resize(kept);
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    kept = 0;
-    for (std::size_t i = 0; i < sh.active.size(); ++i) {
-      const std::size_t id = sh.active[i];
-      const std::uint64_t d = specs_[id].depart_at;
-      if (d == 0 || d > clock_) {
-        sh.active[kept++] = id;
-        continue;
-      }
-      SessionReport& r = reports_[id];
-      r.finished = true;
-      r.departed = true;
-      r.transmissions = sh.arena.transmissions(arena_walk_[id]);
-      r.completed_at = clock_;
-      --unfinished_;
-      --arena_active_;
-    }
-    sh.active.resize(kept);
-  }
 }
 
 void TrafficEngine::admit_all(const std::vector<SessionSpec>& specs) {
@@ -374,24 +359,6 @@ void TrafficEngine::activate_arrivals() {
       continue;
     }
     const SessionSpec& spec = specs_[id];
-    // Route fast path: static perfect-link kRoute sessions land on a SoA
-    // arena shard (id % shards) instead of a scalar lane; the degenerate
-    // s == t session never transmits and completes at activation.
-    if (!shards_.empty() && spec.kind == TrafficKind::kRoute) {
-      if (spec.s == spec.t) {
-        SessionReport& r = reports_[id];
-        r.finished = true;
-        r.delivered = true;
-        r.completed_at = clock_;
-        --unfinished_;
-      } else {
-        Shard& sh = *shards_[id % shards_.size()];
-        arena_walk_[id] = sh.arena.admit(spec.s, spec.t);
-        sh.active.push_back(id);
-        ++arena_active_;
-      }
-      continue;
-    }
     if (options_.lossy && dynamic()) {
       lanes_[id] = std::make_unique<LossyRouteLane>(
           *dynamic_graph_, spec.s, spec.t, *options_.lossy,
@@ -404,7 +371,7 @@ void TrafficEngine::activate_arrivals() {
       lanes_[id] = std::make_unique<DynamicRouteLane>(
           *transport_, spec.s, spec.t, options_.seq_seed);
     } else if (spec.kind == TrafficKind::kBroadcast) {
-      // (Static perfect-link kRoute sessions all landed on a shard above.)
+      // (Static perfect-link kRoute sessions all run on the arena shards.)
       lanes_[id] = std::make_unique<BroadcastLane>(reduced_, *seq_, spec.s);
     } else {
       lanes_[id] = std::make_unique<HybridLane>(
@@ -417,6 +384,86 @@ void TrafficEngine::activate_arrivals() {
   }
   pending_.resize(kept);
   std::sort(active_.begin(), active_.end());
+}
+
+void TrafficEngine::activate_arena_arrivals(std::uint64_t round_end) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < arena_pending_.size(); ++i) {
+    const std::size_t id = arena_pending_[i];
+    const SessionSpec& spec = specs_[id];
+    if (spec.admit_at >= round_end) {
+      arena_pending_[kept++] = id;
+      continue;
+    }
+    if (spec.s == spec.t) {
+      // Never transmits: delivered at its arrival tick.
+      SessionReport& r = reports_[id];
+      r.finished = true;
+      r.delivered = true;
+      r.completed_at = spec.admit_at;
+      --unfinished_;
+      continue;
+    }
+    Shard& sh = *shards_[id % shards_.size()];
+    arena_walk_[id] = sh.arena.admit(spec.s, spec.t);
+    sh.active.push_back(id);
+    ++arena_active_;
+  }
+  arena_pending_.resize(kept);
+}
+
+void TrafficEngine::step_shard(Shard& sh, std::uint64_t round_end) {
+  constexpr std::size_t kLanes = MultiWalkArena::kBlockLanes;
+  // Grants are computed one kernel block at a time, so the per-walk
+  // scratch stays on the stack; survivors compact in place (kept never
+  // overtakes the block being read).
+  std::size_t kept = 0;
+  const std::size_t m = sh.active.size();
+  for (std::size_t base = 0; base < m; base += kLanes) {
+    const std::size_t n = std::min(kLanes, m - base);
+    std::size_t ids[kLanes];
+    std::size_t walks[kLanes];
+    std::uint64_t start[kLanes];
+    std::uint64_t grant[kLanes];
+    std::uint64_t before[kLanes];
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t id = sh.active[base + k];
+      const SessionSpec& spec = specs_[id];
+      // A walk that arrives inside the round starts at its arrival tick;
+      // one whose user leaves inside it stops at the departure tick.
+      start[k] = std::max(clock_, spec.admit_at);
+      const std::uint64_t end =
+          spec.depart_at ? std::min(round_end, spec.depart_at) : round_end;
+      ids[k] = id;
+      walks[k] = arena_walk_[id];
+      grant[k] = end - start[k];
+      before[k] = sh.arena.transmissions(walks[k]);
+    }
+    sh.arena.step_block(walks, grant, n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t w = walks[k];
+      const std::uint64_t depart_at = specs_[ids[k]].depart_at;
+      SessionReport& r = reports_[ids[k]];
+      if (sh.arena.finished(w)) {
+        r.finished = true;
+        r.transmissions = sh.arena.transmissions(w);
+        r.completed_at = start[k] + (r.transmissions - before[k]);
+        r.delivered = sh.arena.delivered(w);
+        r.failure_certified = !r.delivered;
+      } else if (depart_at != 0 && depart_at <= round_end) {
+        // Still in flight at its departure tick (a rewind whose free
+        // terminate falls on that tick included): no verdict.
+        r.finished = true;
+        r.departed = true;
+        r.transmissions = sh.arena.transmissions(w);
+        r.completed_at = depart_at;
+      } else {
+        sh.active[kept++] = ids[k];
+      }
+    }
+  }
+  sh.retired = m - kept;
+  sh.active.resize(kept);
 }
 
 std::uint64_t TrafficEngine::ticks_to_epoch() const {
@@ -433,119 +480,100 @@ void TrafficEngine::advance_epochs_to(std::uint64_t tick) {
   }
 }
 
+std::uint64_t TrafficEngine::next_arrival() {
+  if (!staged_arrival_ && !arrivals_done_) {
+    staged_arrival_ = arrivals_->next();
+    if (!staged_arrival_) arrivals_done_ = true;
+  }
+  std::uint64_t next = staged_arrival_ ? staged_arrival_->admit_at : kNever;
+  for (std::size_t id : pending_)
+    next = std::min(next, reports_[id].admitted_at);
+  for (std::size_t id : arena_pending_)
+    next = std::min(next, reports_[id].admitted_at);
+  return next;
+}
+
 std::size_t TrafficEngine::run_round() {
+  // Idle gap: with nothing in flight, fast-forward to the next arrival
+  // (possibly one the stream has not yielded yet), crossing any scenario
+  // epochs scheduled in between.
+  if (active_.empty() && arena_active_ == 0) {
+    const std::uint64_t next = next_arrival();
+    if (next == kNever) return unfinished_;
+    clock_ = std::max(clock_, next);
+  }
   advance_epochs_to(clock_);
   pull_arrivals();
   activate_arrivals();
   process_departures();
-  if (active_.empty() && arena_active_ == 0) {
-    if (pending_.empty()) {
-      // Open loop: nothing in flight and nothing scheduled — stage the
-      // next stream arrival (possibly far beyond this round's reach) so
-      // the idle fast-forward below has a tick to jump to.
-      if (!staged_arrival_ && !arrivals_done_) {
-        staged_arrival_ = arrivals_->next();
-        if (!staged_arrival_) arrivals_done_ = true;
-      }
-      if (!staged_arrival_) return unfinished_;
-      admit(*staged_arrival_);
-      staged_arrival_.reset();
-    }
-    // Idle gap: fast-forward to the next arrival, crossing any scenario
-    // epochs scheduled in between.
-    std::uint64_t next = kNever;
-    for (std::size_t id : pending_)
-      next = std::min(next, reports_[id].admitted_at);
-    clock_ = next;
-    advance_epochs_to(clock_);
-    pull_arrivals();
-    activate_arrivals();
-    process_departures();
-  }
   // Lossy-dynamic mode: once the epoch schedule froze, no blocked session
   // can ever heal — resolve them to their no-verdict end state (serial, in
   // id order) so run() terminates.  Degrading, never falsely certifying.
   if (options_.lossy && dynamic() && ticks_to_epoch() == kNever)
     for (std::size_t id : active_) lanes_[id]->give_up();
-  // Round length: the batch, clamped so no session steps across a
-  // scenario-epoch boundary, past a not-yet-admitted arrival, or past a
-  // departure tick.  All clamps read global state only, so the grant —
-  // and with it every report — is identical for any thread/shard count.
+  // Round length: the batch, clamped so no scalar lane steps across a
+  // scenario-epoch boundary, past a not-yet-admitted scalar arrival, or
+  // past a scalar departure tick.  Arena walks need no clamp: they start
+  // and depart inside the round on per-walk grants.  All clamps read
+  // global state only, so the grant — and with it every report — is
+  // identical for any thread/shard count.
   std::uint64_t slots = options_.batch;
   slots = std::min(slots, ticks_to_epoch());
   for (std::size_t id : pending_)
     slots = std::min(slots, reports_[id].admitted_at - clock_);
-  if (any_departures_) {
+  if (lane_departures_)
     for (std::size_t id : active_)
       if (specs_[id].depart_at)
         slots = std::min(slots, specs_[id].depart_at - clock_);
-    for (const auto& shp : shards_)
-      for (std::size_t id : shp->active)
-        if (specs_[id].depart_at)
-          slots = std::min(slots, specs_[id].depart_at - clock_);
-  }
+  const std::uint64_t round_end = clock_ + slots;
+  activate_arena_arrivals(round_end);
 
   util::ThreadPool& pool = pool_->pool;
   // Arena phase: whole shards in parallel, one worker per shard; inside a
-  // shard the SoA kernel block-steps every in-flight walk by `slots`.
+  // shard the SoA kernel block-steps every in-flight walk on its grant.
   if (arena_active_ > 0) {
     util::parallel_for(
         pool, shards_.size(), 1, [&](const util::ChunkRange& c) {
-          for (std::uint64_t si = c.begin; si < c.end; ++si) {
-            Shard& sh = *shards_[static_cast<std::size_t>(si)];
-            const std::size_t m = sh.active.size();
-            if (m == 0) continue;
-            sh.walks.resize(m);
-            sh.tx_before.resize(m);
-            for (std::size_t k = 0; k < m; ++k) {
-              sh.walks[k] = arena_walk_[sh.active[k]];
-              sh.tx_before[k] = sh.arena.transmissions(sh.walks[k]);
+          for (std::uint64_t si = c.begin; si < c.end; ++si)
+            step_shard(*shards_[static_cast<std::size_t>(si)], round_end);
+        });
+    for (const auto& shp : shards_) {
+      unfinished_ -= shp->retired;
+      arena_active_ -= shp->retired;
+      shp->retired = 0;
+    }
+  }
+  const std::uint64_t n = active_.size();
+  if (n > 0)
+    util::parallel_for(
+        pool, n, util::default_chunk(n, pool.size()),
+        [&](const util::ChunkRange& c) {
+          for (std::uint64_t i = c.begin; i < c.end; ++i) {
+            const std::size_t id = active_[static_cast<std::size_t>(i)];
+            Lane& lane = *lanes_[id];
+            std::uint64_t used = 0;
+            // Free steps (terminate, hybrid decisions) never repeat
+            // unboundedly, but cap total step calls defensively; the cap
+            // is a constant, so reports stay thread-count invariant.  A
+            // blocked lossy session sleeps out the round (stepping it is a
+            // no-op until its epoch moves).
+            std::uint64_t calls = 2 * slots + 8;
+            while (!lane.finished() && !lane.blocked() && used < slots &&
+                   calls-- > 0) {
+              const std::uint64_t before = lane.transmissions();
+              lane.step();
+              used += lane.transmissions() - before;
             }
-            sh.arena.step_block(sh.walks.data(), m, slots);
-            for (std::size_t k = 0; k < m; ++k) {
-              const std::size_t id = sh.active[k];
-              if (!sh.arena.finished(sh.walks[k])) continue;
+            if (lane.finished()) {
               SessionReport& r = reports_[id];
               r.finished = true;
-              r.transmissions = sh.arena.transmissions(sh.walks[k]);
-              r.completed_at =
-                  clock_ + (r.transmissions - sh.tx_before[k]);
-              r.delivered = sh.arena.delivered(sh.walks[k]);
-              r.failure_certified = !r.delivered;
+              r.transmissions = lane.transmissions();
+              r.completed_at = clock_ + used;
+              lane.finalize(r);
             }
           }
         });
-  }
-  const std::uint64_t n = active_.size();
-  util::parallel_for(
-      pool, n, util::default_chunk(n, pool.size()),
-      [&](const util::ChunkRange& c) {
-        for (std::uint64_t i = c.begin; i < c.end; ++i) {
-          const std::size_t id = active_[static_cast<std::size_t>(i)];
-          Lane& lane = *lanes_[id];
-          std::uint64_t used = 0;
-          // Free steps (terminate, hybrid decisions) never repeat
-          // unboundedly, but cap total step calls defensively; the cap
-          // is a constant, so reports stay thread-count invariant.  A
-          // blocked lossy session sleeps out the round (stepping it is a
-          // no-op until its epoch moves).
-          std::uint64_t calls = 2 * slots + 8;
-          while (!lane.finished() && !lane.blocked() && used < slots &&
-                 calls-- > 0) {
-            const std::uint64_t before = lane.transmissions();
-            lane.step();
-            used += lane.transmissions() - before;
-          }
-          if (lane.finished()) {
-            SessionReport& r = reports_[id];
-            r.finished = true;
-            r.transmissions = lane.transmissions();
-            r.completed_at = clock_ + used;
-            lane.finalize(r);
-          }
-        }
-      });
-  clock_ += slots;
+  clock_ = round_end;
   // Serial sweep in id order: retire finished lanes, free their state.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < active_.size(); ++i) {
@@ -558,21 +586,6 @@ std::size_t TrafficEngine::run_round() {
     }
   }
   active_.resize(kept);
-  // Arena walks retire by list compaction only; their SoA rows stay.
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    kept = 0;
-    for (std::size_t i = 0; i < sh.active.size(); ++i) {
-      const std::size_t id = sh.active[i];
-      if (reports_[id].finished) {
-        --unfinished_;
-        --arena_active_;
-      } else {
-        sh.active[kept++] = id;
-      }
-    }
-    sh.active.resize(kept);
-  }
   return unfinished_;
 }
 

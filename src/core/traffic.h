@@ -13,9 +13,11 @@
 //     share fate only through the topology).  A session admitted at
 //     `admit_at` transmits its k-th frame no earlier than tick
 //     admit_at + k - 1; its completion tick is exact.
-//   * Sessions are admitted up front (admit()) and stepped round-robin in
-//     batched chunks: each round gives every active session up to
-//     `batch` transmission slots, fanned out over a util::ThreadPool.
+//   * Sessions are admitted up front (admit()) or pulled from an
+//     ArrivalSource, and stepped round-robin in batched chunks: each
+//     round gives every active session up to `batch` transmission slots
+//     (an arena walk that arrives or departs inside the round only its
+//     own ticks of it), fanned out over a util::ThreadPool.
 //     Sessions are state-disjoint (each owns its walker; the topology is
 //     read-only during a round), per-session randomness is derived from
 //     the session id (counter_hash — never a shared stream), and reports
@@ -74,8 +76,9 @@ struct SessionSpec {
   /// Open-loop departures: 0 = stay until the verdict; otherwise the clock
   /// tick the user gives up and leaves (must be > admit_at).  A session
   /// still in flight at depart_at retires with NO verdict (the report's
-  /// `departed` flag) — rounds clamp to departure ticks, so the retirement
-  /// instant is exact on the shared clock.
+  /// `departed` flag) at exactly that tick: an arena walk's grant is
+  /// capped there inside its round, and rounds clamp to the departure
+  /// ticks of scalar lanes.
   std::uint64_t depart_at = 0;
 };
 
@@ -115,6 +118,9 @@ struct SessionReport {
   std::uint64_t hops = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t virtual_time = 0;  ///< channel virtual time consumed
+
+  friend bool operator==(const SessionReport&,
+                         const SessionReport&) = default;
 };
 
 /// Builds the probabilistic token of a kHybrid session.  The seed is
@@ -127,16 +133,18 @@ using WalkerFactory = std::function<std::unique_ptr<TokenWalker>(
     const graph::Graph& g, graph::NodeId s, graph::NodeId t,
     std::uint64_t ttl, std::uint64_t seed)>;
 
-/// Pull-based open-loop arrival stream (the ISSUE-9 admission mode): the
-/// engine pulls arrivals instead of having them all admitted up front, so
-/// Poisson processes can feed long horizons without materializing millions
-/// of specs.  next() must yield specs in NONDECREASING admit_at order (the
-/// engine throws otherwise).  Each round the engine drains every arrival
-/// with admit_at <= clock + batch BEFORE computing the round's slot grant;
+/// Pull-based open-loop arrival stream: the engine pulls arrivals instead
+/// of having them all admitted up front, so Poisson processes can feed
+/// long horizons without materializing millions of specs.  next() must
+/// yield specs in NONDECREASING admit_at order (the engine throws
+/// otherwise).  Each round the engine drains every arrival with
+/// admit_at <= clock + batch BEFORE computing the round's slot grant;
 /// since a round never advances the clock by more than batch ticks, a
 /// pulled admission can never land in the past — and pulled-but-future
-/// admissions clamp the round exactly like up-front ones, so reports stay
-/// bit-identical to the equivalent admit_all() schedule.
+/// admissions take part in the round exactly like up-front ones (an arena
+/// walk starts inside the round on its own grant, a scalar lane's arrival
+/// clamps the round), so reports stay bit-identical to the equivalent
+/// admit_all() schedule.
 class ArrivalSource {
  public:
   virtual ~ArrivalSource() = default;
@@ -152,9 +160,12 @@ struct TrafficOptions {
   std::uint64_t walker_seed = 0x7a11;
   /// Required to admit kHybrid sessions (admit() throws otherwise).
   WalkerFactory hybrid_walker;
-  /// Transmission slots granted per active session per round.  Purely a
-  /// scheduling granularity: reports never depend on it, except that in
-  /// dynamic mode rounds clamp to epoch boundaries anyway.
+  /// Clock ticks per round.  Purely a scheduling granularity: reports
+  /// never depend on it.  Arena walks (static perfect-link routes) run
+  /// full rounds on per-walk grants — one that arrives or departs inside
+  /// a round steps only its own ticks of it — so only the scenario epoch
+  /// and the arrivals and departures of scalar lanes (lossy, dynamic,
+  /// broadcast, hybrid) cut a round short.
   std::uint64_t batch = 64;
   /// Worker lanes (0 = UESR_THREADS env, else hardware).  Data cells are
   /// bit-identical for any value.
@@ -164,8 +175,9 @@ struct TrafficOptions {
   /// id % shards) and rounds step whole shards in parallel, one worker per
   /// shard, with the SoA block kernel.  0 = one shard per worker lane.
   /// Reports are bit-identical for ANY value (sessions are state-disjoint
-  /// and the round's slot grant is computed globally), so this is purely a
-  /// parallelism/locality knob — DESIGN.md §2.13.
+  /// and each walk's grant depends only on the round bounds and its own
+  /// admit/depart ticks), so this is purely a parallelism/locality knob —
+  /// DESIGN.md §2.13.
   unsigned shards = 1;
   /// Dynamic mode: clock ticks per scenario epoch (>= 1) and schedule
   /// length; ignored in static mode.
@@ -231,11 +243,23 @@ class TrafficEngine {
   const std::vector<SessionReport>& reports() const { return reports_; }
 
  private:
+  /// Builds the scalar lanes of pending sessions due at clock().
   void activate_arrivals();
+  /// Moves arena sessions arriving before `round_end` onto their shards
+  /// (a degenerate s == t session completes at its arrival tick instead).
+  void activate_arena_arrivals(std::uint64_t round_end);
+  /// One shard's part of the round [clock(), round_end): steps each walk
+  /// on its grant (from max(clock, admit_at) to min(round_end,
+  /// depart_at)), writes the reports of walks that finished or departed,
+  /// and drops them from the shard's list (counted in Shard::retired).
+  void step_shard(Shard& sh, std::uint64_t round_end);
   /// Open-loop: drains every attached-stream arrival due within this
   /// round's reach (admit_at <= clock + batch) into ordinary admissions.
   void pull_arrivals();
-  /// Serially retires active sessions whose depart_at tick has come.
+  /// The earliest admission tick still to come, pending or on the stream
+  /// (staging the stream's head); never-tick when there is none.
+  std::uint64_t next_arrival();
+  /// Serially retires scalar lanes whose depart_at tick has come.
   void process_departures();
   /// Clock ticks until the next scenario epoch (dynamic), or forever.
   std::uint64_t ticks_to_epoch() const;
@@ -270,12 +294,16 @@ class TrafficEngine {
   ArrivalSource* arrivals_ = nullptr;
   std::optional<SessionSpec> staged_arrival_;
   bool arrivals_done_ = true;
-  bool any_departures_ = false;  ///< skip departure scans when none exist
-  /// Ids of admitted-not-yet-activated sessions, in admission order (NOT
-  /// sorted by admit_at): activation and the round-length clamp scan the
-  /// whole list each round, and lanes are built in ascending id order
-  /// among the due ids, so activation stays deterministic.
+  /// Some scalar lane has a depart_at: departure scans and clamps needed.
+  bool lane_departures_ = false;
+  /// Ids of admitted-not-yet-activated scalar-lane sessions, in admission
+  /// order (NOT sorted by admit_at): activation and the round-length clamp
+  /// scan the whole list each round, and lanes are built in ascending id
+  /// order among the due ids, so activation stays deterministic.
   std::vector<std::size_t> pending_;
+  /// Admitted-not-yet-activated arena sessions, in admission order; they
+  /// never clamp a round.
+  std::vector<std::size_t> arena_pending_;
   std::vector<std::size_t> active_;  ///< ids being stepped, ascending
   std::size_t unfinished_ = 0;
   struct PoolHolder;  ///< hides util/parallel.h from this header

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
+#include "core/traffic.h"
 #include "graph/churn.h"
 #include "graph/generators.h"
 
@@ -193,6 +195,28 @@ TEST(TrafficExperiment, StaticCellShapeIsSane) {
   EXPECT_GT(cell.transmissions, 0u);
   EXPECT_GE(cell.p99_tx, cell.p50_tx);
   EXPECT_GT(cell.final_clock, 0u);
+}
+
+TEST(TrafficExperiment, FinalClockIsTheLastCompletionTick) {
+  // The drained-at tick is a property of the reports, not of where the
+  // engine's last round happened to end, so it cannot move with batch.
+  const graph::Graph g = graph::grid(3, 3);
+  const Workload w = poisson_workload(9, 40, 3.0, 11);
+  std::uint64_t last = 0;
+  for (std::uint64_t batch : {1u, 64u}) {
+    core::TrafficOptions opt;
+    opt.batch = batch;
+    core::TrafficEngine engine(g, opt);
+    engine.admit_all(w.sessions);
+    engine.run();
+    const TrafficCell cell = summarize_traffic(engine.reports());
+    if (batch == 1) {
+      for (const core::SessionReport& r : engine.reports())
+        last = std::max(last, r.completed_at);
+      EXPECT_GT(last, 0u);
+    }
+    EXPECT_EQ(cell.final_clock, last) << "batch=" << batch;
+  }
 }
 
 // The E12 determinism contract for the churn-overlaid kernel.

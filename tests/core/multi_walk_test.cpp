@@ -147,6 +147,51 @@ TEST(MultiWalk, PartitionIntoBlocksIsInvisible) {
   }
 }
 
+TEST(MultiWalk, PerWalkBudgetsMatchSoloWalksAndReference) {
+  // One step_block call with budgets mixed inside each 64-lane block —
+  // idle lanes, one-slot lanes, lanes that stop one short of a full
+  // block and lanes that outlast it — must leave every walk exactly where
+  // stepping it alone, or the scalar reference, leaves it.
+  const graph::Graph g = graph::random_connected_regular(40, 3, 17);
+  const ReducedGraph net = explore::reduce_to_cubic(g);
+  const auto seq = explore::standard_ues(net.cubic.num_nodes(), 13);
+  MultiWalkArena block(net, *seq);
+  MultiWalkArena solo(net, *seq);
+  std::vector<RouteSession> refs;
+  std::vector<std::size_t> bw;
+  std::vector<std::size_t> sw;
+  for (std::size_t i = 0; i < 150; ++i) {
+    const NodeId s = static_cast<NodeId>(i % 40);
+    const NodeId t = static_cast<NodeId>((i * 13 + 7) % 40);
+    if (s == t) continue;
+    refs.emplace_back(net, *seq, s, t);
+    bw.push_back(block.admit(s, t));
+    sw.push_back(solo.admit(s, t));
+  }
+  const std::uint64_t kBudgets[] = {0, 1, 3, 63, 64, 200};
+  std::vector<std::uint64_t> budgets(bw.size());
+  bool all_done = false;
+  for (std::size_t call = 0; !all_done && call < 100'000; ++call) {
+    for (std::size_t i = 0; i < budgets.size(); ++i)
+      budgets[i] = kBudgets[(i * 5 + call) % std::size(kBudgets)];
+    block.step_block(bw.data(), budgets.data(), bw.size());
+    all_done = true;
+    for (std::size_t i = 0; i < bw.size(); ++i) {
+      solo.step_walk(sw[i], budgets[i]);
+      grant(refs[i], budgets[i]);
+      expect_lockstep(block, bw[i], refs[i], "per-walk budgets");
+      ASSERT_EQ(block.transmissions(bw[i]), solo.transmissions(sw[i])) << i;
+      ASSERT_EQ(block.index(bw[i]), solo.index(sw[i])) << i;
+      ASSERT_EQ(block.current_original(bw[i]), solo.current_original(sw[i]))
+          << i;
+      ASSERT_EQ(block.finished(bw[i]), solo.finished(sw[i])) << i;
+      ASSERT_EQ(block.delivered(bw[i]), solo.delivered(sw[i])) << i;
+      all_done = all_done && refs[i].finished();
+    }
+  }
+  ASSERT_TRUE(all_done);
+}
+
 TEST(MultiWalk, FailureCertificateOnDisconnectedTarget) {
   // Two disjoint clusters: cross-cluster walks must exhaust the sequence
   // and come back failure-certified, exactly like the reference.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -335,6 +336,29 @@ TEST(TrafficEngine, PulledArrivalsMatchUpFrontAdmission) {
   EXPECT_EQ(pulled.clock(), up_front.clock());
 }
 
+TEST(TrafficEngine, IdleFastForwardStopsAtTheEarliestArrival) {
+  // Nothing in flight, a pending admission at tick 10,000 and a stream
+  // whose next arrival is at tick 500: the idle jump must stop at 500,
+  // or the stream's arrival would be admitted into the past.
+  graph::Graph g = graph::cycle(8);
+  TrafficEngine engine(g);
+  engine.admit({TrafficKind::kRoute, 0, 4, /*admit_at=*/10'000, 0});
+  SessionSpec early;
+  early.s = 1;
+  early.t = 5;
+  early.admit_at = 500;
+  VectorArrivals source({early});
+  engine.attach_arrivals(source);
+  engine.run();
+  ASSERT_EQ(engine.session_count(), 2u);
+  for (std::size_t id = 0; id < 2; ++id) {
+    const SessionReport& r = engine.report(id);
+    EXPECT_TRUE(r.delivered) << id;
+    EXPECT_EQ(r.completed_at, r.admitted_at + r.transmissions) << id;
+  }
+  EXPECT_EQ(engine.report(1).admitted_at, 500u);
+}
+
 TEST(ShardInvariance, OpenLoopCellAcrossThreadsAndShards) {
   // Arrivals, departures, sharding and threading all at once: the folded
   // cell (double-valued percentiles included) must not move.
@@ -357,6 +381,108 @@ TEST(ShardInvariance, OpenLoopCellAcrossThreadsAndShards) {
     EXPECT_EQ(base, baselines::open_loop_traffic_experiment(
                         g, cfg, 0x5eed0001, threads, shards))
         << "threads=" << threads << " shards=" << shards;
+}
+
+/// An open-loop stream of cluster-local route sessions with a few
+/// broadcast and hybrid lanes mixed in.  Every broadcast departs (a full
+/// broadcast walks all of T_n); hybrids keep the stream's departure on
+/// odd ids and stay to their verdict on even ones.
+std::vector<SessionSpec> mixed_open_loop(double gap, double lifetime,
+                                         std::uint64_t seed) {
+  baselines::OpenLoopWorkload::Config cfg;
+  cfg.cluster_size = 10;
+  cfg.clusters = 8;
+  cfg.sessions = 240;
+  cfg.mean_interarrival = gap;
+  cfg.mean_lifetime = lifetime;
+  cfg.seed = seed;
+  baselines::OpenLoopWorkload stream(cfg);
+  std::vector<SessionSpec> specs;
+  for (std::size_t i = 0; std::optional<SessionSpec> spec = stream.next();
+       ++i) {
+    if (i % 23 == 7) {
+      spec->kind = TrafficKind::kBroadcast;
+      spec->depart_at = spec->admit_at + 40 + i % 50;
+    } else if (i % 17 == 5) {
+      spec->kind = TrafficKind::kHybrid;
+      spec->hybrid_ttl = 30;
+      if (i % 2 == 0) spec->depart_at = 0;
+    }
+    specs.push_back(*spec);
+  }
+  return specs;
+}
+
+// Per-walk grants: an arena walk that arrives or departs inside a round
+// steps only its own ticks of it, so where rounds end is never visible.
+// Batch 1 gives one-tick rounds — the schedule of an engine that cut a
+// round at every arrival and departure — and every report field must
+// match it at any batch, thread count and shard count.
+TEST(GrantInvariance, ReportsIdenticalForAnyBatchThreadsAndShards) {
+  const graph::Graph g = graph::disjoint_copies(graph::petersen(), 8);
+  std::uint64_t seed = 31;
+  for (double lifetime : {40.0, 2048.0})
+    for (double gap : {0.05, 0.5, 3.0}) {
+      const std::vector<SessionSpec> specs =
+          mixed_open_loop(gap, lifetime, seed++);
+      std::vector<SessionReport> base;
+      for (std::uint64_t batch : {1u, 7u, 64u})
+        for (auto [threads, shards] : {std::pair{1u, 1u}, {3u, 4u}}) {
+          TrafficOptions opt = with_walkers();
+          opt.batch = batch;
+          opt.threads = threads;
+          opt.shards = shards;
+          TrafficEngine engine(g, opt);
+          engine.admit_all(specs);
+          engine.run();
+          if (base.empty()) {
+            base = engine.reports();
+            int departed = 0;
+            for (const SessionReport& r : base) departed += r.departed;
+            EXPECT_GT(departed, 0) << "the lifetimes must bite";
+            continue;
+          }
+          ASSERT_EQ(engine.reports().size(), base.size());
+          for (std::size_t i = 0; i < base.size(); ++i)
+            ASSERT_TRUE(engine.reports()[i] == base[i])
+                << "gap=" << gap << " lifetime=" << lifetime
+                << " batch=" << batch << " threads=" << threads
+                << " shards=" << shards << " session " << i;
+        }
+    }
+}
+
+TEST(GrantInvariance, RouteStreamDrainsInFullRounds) {
+  // ~3,000 arrivals about two per tick, a tail departing: arrivals and
+  // departures must not cut rounds short, so the engine drains in about
+  // one round per `batch` ticks of its busy span (an engine that clamps
+  // every round to the next arrival needs about one round per tick).
+  const graph::Graph g = graph::disjoint_copies(graph::petersen(), 8);
+  baselines::OpenLoopWorkload::Config cfg;
+  cfg.cluster_size = 10;
+  cfg.clusters = 8;
+  cfg.sessions = 3000;
+  cfg.mean_interarrival = 0.5;
+  cfg.mean_lifetime = 600.0;
+  cfg.seed = 17;
+  baselines::OpenLoopWorkload stream(cfg);
+  TrafficEngine engine(g);
+  while (std::optional<SessionSpec> spec = stream.next()) engine.admit(*spec);
+  std::uint64_t rounds = 0;
+  while (engine.unfinished_count() > 0) {
+    engine.run_round();
+    ++rounds;
+  }
+  std::uint64_t last = 0;
+  int departed = 0;
+  for (const SessionReport& r : engine.reports()) {
+    last = std::max(last, r.completed_at);
+    departed += r.departed;
+  }
+  EXPECT_GT(departed, 0);
+  const std::uint64_t batch = TrafficOptions{}.batch;
+  EXPECT_LE(rounds, (last + batch - 1) / batch + 2)
+      << "last completion at tick " << last;
 }
 
 }  // namespace
