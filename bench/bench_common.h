@@ -14,7 +14,9 @@
 #pragma once
 
 #include <chrono>
+#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "util/cli.h"
@@ -42,11 +44,19 @@ inline void banner(const std::string& id, const std::string& claim) {
 /// The shared threads knob: --threads=N beats UESR_THREADS beats hardware
 /// concurrency.  Call once at the top of main and pass the result to the
 /// driver's ThreadPool / verification calls.
+/// A malformed flag is a usage error: the message goes to stderr and the
+/// driver exits 2, never with an uncaught exception.
 inline unsigned threads_knob(int argc, const char* const* argv) {
   util::Cli cli(argc, argv);
   // Clamp before the unsigned conversion: a negative or absurd value must
   // not wrap into a billions-of-threads spawn request.
-  std::int64_t v = cli.get_int("threads", 0);
+  std::int64_t v = 0;
+  try {
+    v = cli.get_int("threads", 0);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << (argc > 0 ? argv[0] : "bench") << ": " << e.what() << "\n";
+    std::exit(2);
+  }
   if (v < 0 || v > static_cast<std::int64_t>(util::kMaxThreads)) v = 0;
   return util::resolve_threads(static_cast<unsigned>(v));
 }

@@ -4,9 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/dynamic_route.h"
+#include "core/lossy_route.h"
 #include "graph/algorithms.h"
-#include "net/dynamic_transport.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -58,8 +57,8 @@ ChurnRouter::ChurnRouter(const graph::Scenario& scenario,
 ChurnAttempt ChurnRouter::route_ues(NodeId s, NodeId t,
                                     std::uint64_t seq_seed) const {
   Replay r(*scenario_, period_, max_epochs_);
-  net::DynamicTransport transport(r.g);
-  core::DynamicRouteSession session(transport, s, t, {seq_seed});
+  core::LossyRouteSession session =
+      core::LossyRouteSession::perfect_link(r.g, s, t, seq_seed);
   while (!session.finished()) {
     session.step();
     // The terminate step transmits nothing; everything else is one frame.
@@ -68,7 +67,7 @@ ChurnAttempt ChurnRouter::route_ues(NodeId s, NodeId t,
   ChurnAttempt a;
   a.delivered = session.delivered();
   a.failure_certified = session.failure_certified();
-  a.transmissions = session.transmissions();
+  a.transmissions = session.hops();
   a.ticks = r.ticks;
   a.restarts = session.restarts();
   a.completion_epoch = session.completion_epoch();

@@ -11,12 +11,10 @@ namespace uesr::core {
 
 using graph::NodeId;
 using graph::Port;
-using net::Direction;
-using net::Kind;
 using net::Status;
 
 /// One churn epoch's network: the snapshot's reduction and its T_n.  The
-/// channel points into `reduced`, so it is closed before the epoch goes.
+/// walk and the channel point into it, so they go before the epoch does.
 struct LossyRouteSession::Epoch {
   explore::ReducedGraph reduced;
   std::shared_ptr<const explore::ExplorationSequence> seq;
@@ -38,12 +36,30 @@ LossyRouteSession::LossyRouteSession(const explore::ReducedGraph& net,
   options_.arq = options.arq;
   options_.net_seed = options.net_seed;
   options_.faults = std::move(options.faults);
-  open_channel();
+  if (s == t) {  // degenerate: nothing to send, whatever the channel does
+    verdict_ = LossyVerdict::kDelivered;
+    return;
+  }
+  restart();
 }
 
 LossyRouteSession::LossyRouteSession(const graph::DynamicGraph& g, NodeId s,
                                      NodeId t, LossyDynamicOptions options)
-    : graph_(&g), s_(s), t_(t), options_(std::move(options)) {
+    : LossyRouteSession(g, s, t, std::move(options), true) {}
+
+LossyRouteSession LossyRouteSession::perfect_link(const graph::DynamicGraph& g,
+                                                  NodeId s, NodeId t,
+                                                  std::uint64_t seq_seed) {
+  LossyDynamicOptions options;
+  options.seq_seed = seq_seed;
+  return LossyRouteSession(g, s, t, std::move(options), false);
+}
+
+LossyRouteSession::LossyRouteSession(const graph::DynamicGraph& g, NodeId s,
+                                     NodeId t, LossyDynamicOptions options,
+                                     bool channel)
+    : graph_(&g), s_(s), t_(t), options_(std::move(options)),
+      channel_(channel) {
   const NodeId n = g.num_nodes();
   if (s >= n || t >= n)
     throw std::invalid_argument("LossyRouteSession: node out of range");
@@ -59,27 +75,37 @@ LossyRouteSession::LossyRouteSession(const graph::DynamicGraph& g, NodeId s,
 LossyRouteSession::~LossyRouteSession() = default;
 
 void LossyRouteSession::rebuild() {
-  if (arq_) {
-    // The discarded epoch's frames and retries were really spent.
-    carried_frames_ += arq_->frames();
-    stats_.virtual_time += arq_->sim().now();
-    arq_.reset();
+  if (walk_) {
+    // A restart: the discarded epoch's frames and retries were really
+    // spent.
+    walk_.reset();
+    if (arq_) {
+      carried_frames_ += arq_->frames();
+      stats_.virtual_time += arq_->sim().now();
+      arq_.reset();
+    }
     epoch_.reset();
     ++restarts_;
   }
   session_epoch_ = graph_->epoch();
   epoch_ = std::make_unique<Epoch>();
   epoch_->reduced = explore::reduce_to_cubic(graph_->snapshot());
+  // Concurrent sessions over the same snapshot (and restarts across
+  // epochs that revisit a size) share one T_n via the process-wide cache.
   epoch_->seq = explore::cached_standard_ues(
       std::max<NodeId>(
           static_cast<NodeId>(epoch_->reduced.cubic.num_nodes()), 1),
       options_.seq_seed);
   net_ = &epoch_->reduced;
   seq_ = epoch_->seq.get();
-  open_channel();
+  restart();
 }
 
-void LossyRouteSession::open_channel() {
+void LossyRouteSession::restart() {
+  // Start the walk from scratch (stateless nodes make restarts free).
+  walk_.emplace(*net_, *seq_, s_, t_);
+  blocked_ = false;
+  if (!channel_) return;
   // Every per-epoch stream is a pure function of (seed, epoch) — same
   // scenario, same seeds, same schedule: the replayability contract under
   // churn.  A static network's one epoch uses the seeds as given.
@@ -112,32 +138,23 @@ void LossyRouteSession::open_channel() {
         if (flips.next_double() < options_.one_sided_down)
           sim.set_link_up(v, q, false);
   }
-  // Start the walk from scratch (stateless nodes make restarts free).
-  header_ = net::Header{};
-  header_.kind = t_ == net::kNoTarget ? Kind::kBroadcast : Kind::kRoute;
-  header_.source = s_;
-  header_.target = t_;
-  start_gadget_ = net_->entry_gadget(s_);
-  injected_ = false;
-  blocked_ = false;
 }
 
-bool LossyRouteSession::hop(NodeId from, Port out_port) {
-  const net::WindowOutcome out = arq_->send(from, out_port);
+bool LossyRouteSession::transfer(const RouteSession::Departure& d) {
+  const net::WindowOutcome out = arq_->send(d.from, d.port);
   stats_.retransmits += out.retransmits;
   stats_.backoffs += out.backoffs;
   stats_.rtt_samples += out.rtt_samples;
   if (!out.delivered) {
     // Retry budget spent: the chain of custody is broken and this walk
-    // asserts nothing (see header comment — the data or its ack may be the
-    // lost half).  Under churn the next epoch may heal the link; a static
-    // network never moves, so nothing can.
+    // asserts nothing (see header comment — the data or its ack may be
+    // the lost half).  Under churn the next epoch may heal the link; a
+    // static network never moves, so nothing can.
     blocked_ = true;
     if (!graph_) give_up();
     return false;
   }
-  at_ = out.arrival;
-  ++hops_;
+  walk_->arrive(out.arrival);
   return true;
 }
 
@@ -145,30 +162,24 @@ void LossyRouteSession::step() {
   if (finished()) return;
   if (current_epoch() != session_epoch_) rebuild();
   if (blocked_) return;  // same epoch, spent budget: wait for the topology
-  if (!injected_) {
-    // Injection: s sends along d_0 = (start, port 0); consumes no symbol.
-    if (!hop(start_gadget_, 0)) return;
-    injected_ = true;
-    if (header_.kind == Kind::kRoute &&
-        net_->original_of[at_.node] == header_.target)
-      target_reached_ = true;
-    return;
+  // The hop is the only thing that varies: one ARQ transfer between the
+  // walk's departure and arrival halves, or the perfect-link rotation
+  // (RouteSession::step does depart(), rotate() and arrive() in one call).
+  if (arq_) {
+    const RouteSession::Departure d = walk_->depart();
+    if (!d.terminate && !transfer(d)) return;
+  } else {
+    walk_->step();
   }
-  const NodeView view{net_->original_of[at_.node],
-                      net_->cubic.degree(at_.node)};
-  NodeDecision d = route_node_step(view, at_.port, header_, *seq_);
-  header_ = d.header;
-  if (d.terminate) {
-    verdict_ = d.final_status == Status::kSuccess
+  if (walk_->finished()) {
+    verdict_ = walk_->status() == Status::kSuccess
                    ? LossyVerdict::kDelivered
                    : LossyVerdict::kFailureCertified;
     completion_epoch_ = session_epoch_;
     return;
   }
-  if (!hop(at_.node, d.out_port)) return;
-  if (header_.dir == Direction::kForward && header_.kind == Kind::kRoute &&
-      net_->original_of[at_.node] == header_.target)
-    target_reached_ = true;
+  ++hops_;
+  target_reached_ = target_reached_ || walk_->target_reached();
 }
 
 LossyVerdict LossyRouteSession::run() {
@@ -183,6 +194,7 @@ void LossyRouteSession::give_up() {
 }
 
 std::uint64_t LossyRouteSession::wire_frames() const {
+  if (!channel_) return hops_;
   return carried_frames_ + (arq_ ? arq_->frames() : 0);
 }
 

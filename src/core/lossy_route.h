@@ -1,11 +1,12 @@
 // Algorithm Route over an asynchronous lossy channel — and exactly what
 // its certificates still mean there (DESIGN.md §2.10, §2.11).
 //
-// The per-node logic is untouched: LossyRouteSession drives the same pure
-// `route_node_step` as the perfect-link RouteSession, but every hop goes
-// through a reliable ARQ transfer (net::WindowTransport) instead of a
-// guaranteed Transport::send.  ArqKind picks its configuration (the
-// transport-selection seam):
+// The per-node logic is untouched: LossyRouteSession steps a RouteSession
+// (the §2.4 bookkeeping lives there and nowhere else) through its
+// depart()/arrive() halves, and carries every hop between them through a
+// reliable ARQ transfer (net::WindowTransport) instead of the perfect-link
+// rotation.  ArqKind picks its configuration (the transport-selection
+// seam):
 //
 //   * ArqKind::kStopAndWait     — window 1, one frame per hop
 //     (net::stop_and_wait(reliable)), one frame per RTT;
@@ -40,12 +41,26 @@
 // (R + 1) * h DATA copies per frame plus the acks — the bounded-retransmit
 // overhead E13/E14 measure against flooding and gossip.
 //
-// The same session composes this with churn: constructed over a
+// The same session composes this with churn (the paper's actual setting:
+// "networks with frequently changing topology", §1).  Constructed over a
 // graph::DynamicGraph, its hops run against an epoch stamp that is part of
-// the walk's validity (the §2.8 restart rule of core/dynamic_route.h).
-// Links now fail BOTH ways at once — flapping in the topology layer and
-// dropping frames in the channel layer — in one replayable scenario.  A
-// static topology is simply an epoch that never moves.
+// the walk's validity: every piece of the §2.4 bookkeeping is stated
+// relative to ONE topology, so when the epoch moves the session RESTARTS —
+// it reduces the new snapshot, sizes a fresh T_n for it and re-injects at
+// s (stateless nodes make restarts free: no node has anything to forget).
+// Every completed walk therefore ran within a single epoch, and its
+// verdict is an exact statement about completion_epoch() (with the usual
+// universality caveat of DESIGN.md §3); it says nothing about later
+// epochs.  Links now fail BOTH ways at once — flapping in the topology
+// layer and dropping frames in the channel layer — in one replayable
+// scenario.  A static topology is simply an epoch that never moves.
+//
+// perfect_link() builds the churn walk without a channel: each hop is the
+// perfect-link rotation (wire_frames() == hops()) and nothing ever
+// blocks, so the session finishes as soon as the topology holds still
+// long enough for one full walk.  A topology that changes forever faster
+// than walks complete can starve it, which is a property of the network,
+// not the algorithm (bench E11 measures exactly this edge).
 #pragma once
 
 #include <cstdint>
@@ -157,7 +172,8 @@ struct LossyDynamicOptions : LossyTrafficConfig {
 class LossyRouteSession {
  public:
   /// Static network.  `net` and `seq` must outlive the session (the same
-  /// contract as RouteSession); t == net::kNoTarget broadcasts.
+  /// contract as RouteSession); t == net::kNoTarget broadcasts.  s == t is
+  /// delivered at once, with no channel.
   LossyRouteSession(const explore::ReducedGraph& net,
                     const explore::ExplorationSequence& seq, graph::NodeId s,
                     graph::NodeId t, LossyRouteOptions options = {});
@@ -166,13 +182,19 @@ class LossyRouteSession {
   /// contract).  s == t is delivered at once, with no channel.
   LossyRouteSession(const graph::DynamicGraph& g, graph::NodeId s,
                     graph::NodeId t, LossyDynamicOptions options = {});
+  /// The churn walk over perfect links: no channel, every hop the
+  /// rotation of the current epoch's reduction, never blocked.  `seq_seed`
+  /// seeds the per-epoch T_n as LossyDynamicOptions::seq_seed does.
+  static LossyRouteSession perfect_link(
+      const graph::DynamicGraph& g, graph::NodeId s, graph::NodeId t,
+      std::uint64_t seq_seed = LossyDynamicOptions{}.seq_seed);
   ~LossyRouteSession();
   LossyRouteSession(const LossyRouteSession&) = delete;
   LossyRouteSession& operator=(const LossyRouteSession&) = delete;
 
-  /// One reliable hop against the current epoch (restarting transparently
-  /// when the epoch moved).  No-op once finished() or while blocked() in
-  /// an unchanged epoch.
+  /// One hop against the current epoch (restarting transparently when the
+  /// epoch moved), or the free terminate step that ends a walk.  No-op
+  /// once finished() or while blocked() in an unchanged epoch.
   void step();
   /// Drives to a verdict and returns it; under churn it stops early, at
   /// kInProgress, when the session blocks.
@@ -198,17 +220,17 @@ class LossyRouteSession {
   /// blocked.
   void give_up();
 
-  /// The forward walk reached t (even if the confirmation later aborted —
-  /// an uncertified session may still have delivered the payload; only the
-  /// PROOF is missing).
+  /// The forward walk reached t in some epoch (sticky across restarts;
+  /// even if the confirmation later aborted — an uncertified session may
+  /// still have delivered the payload; only the PROOF is missing).
   bool target_reached() const { return target_reached_; }
 
-  /// Successful link transfers (== the lossless walk's transmissions, when
-  /// the session completes without a restart).
+  /// Successful link transfers across all restarts (== the lossless
+  /// walk's transmissions, when the session completes without a restart).
   std::uint64_t hops() const { return hops_; }
   /// Every DATA/ACK copy put on the wire, lost and duplicate-spawning
   /// copies included (discarded epochs' channels too: they were really
-  /// sent).
+  /// sent).  Equal to hops() on perfect links.
   std::uint64_t wire_frames() const;
   /// Retransmission behaviour folded over the whole session.
   ArqStats arq_stats() const;
@@ -221,7 +243,7 @@ class LossyRouteSession {
   /// The configured ARQ.
   ArqKind arq() const { return options_.arq; }
   /// The current epoch's ARQ, for per-link model overrides and one-sided
-  /// flips BEFORE stepping.  Absent only for a churn session with s == t.
+  /// flips BEFORE stepping.  Absent when s == t and on perfect links.
   net::WindowTransport& transport() { return *arq_; }
   const net::WindowTransport& transport() const { return *arq_; }
   net::EventSim& sim() { return arq_->sim(); }
@@ -229,28 +251,31 @@ class LossyRouteSession {
  private:
   struct Epoch;  ///< churn: one epoch's reduction + sequence
 
+  /// Churn: `channel` false builds the perfect-link walk.
+  LossyRouteSession(const graph::DynamicGraph& g, graph::NodeId s,
+                    graph::NodeId t, LossyDynamicOptions options,
+                    bool channel);
   std::uint64_t current_epoch() const {
     return graph_ ? graph_->epoch() : session_epoch_;
   }
-  /// Churn: reduces the current snapshot and opens its channel.
+  /// Churn: reduces the current snapshot and restarts the walk on it.
   void rebuild();
-  /// Opens the current epoch's channel, arms its faults and restarts the
-  /// walk from s.
-  void open_channel();
-  /// One reliable transfer; false when it spent its retry budget.
-  bool hop(graph::NodeId from, graph::Port out_port);
+  /// Opens the epoch's channel (if the walk has one), arms its faults and
+  /// starts the walk from s.
+  void restart();
+  /// Carries the walk's departure to its arrival over the ARQ; false (and
+  /// the session blocked) when the transfer spent its retry budget.
+  bool transfer(const RouteSession::Departure& d);
 
   const graph::DynamicGraph* graph_ = nullptr;  ///< null: static network
   graph::NodeId s_, t_;
   LossyDynamicOptions options_;
+  bool channel_ = true;  ///< false: perfect links, no ARQ
   std::unique_ptr<Epoch> epoch_;
   const explore::ReducedGraph* net_ = nullptr;  ///< the epoch's network
   const explore::ExplorationSequence* seq_ = nullptr;
+  std::optional<RouteSession> walk_;  ///< the epoch's walk; none if s == t
   std::optional<net::WindowTransport> arq_;  ///< the epoch's channel
-  net::Header header_;
-  net::Arrival at_{};
-  graph::NodeId start_gadget_ = 0;
-  bool injected_ = false;
   bool blocked_ = false;
   bool target_reached_ = false;
   LossyVerdict verdict_ = LossyVerdict::kInProgress;

@@ -133,32 +133,30 @@ explore::Symbol RouteSession::buffered_symbol(std::uint64_t j) {
   return symbuf_[static_cast<std::size_t>(j - buf_lo_)];
 }
 
-void RouteSession::step() {
-  if (finished_) return;
-  const graph::Graph& g = net_->cubic;
-  const NodeId* far3 = far3_;
-  const util::PackedArray* ports3 = ports3_;
+net::Arrival RouteSession::rotate(NodeId v, Port p) const {
   // Cached-pointer rotation: packed cubic loads when cubic, generic else.
-  auto rotate = [&](NodeId v, Port p) {
-    if (!far3) return g.rotate(v, p);
-    const std::size_t i = 3 * static_cast<std::size_t>(v) + p;
-    return graph::HalfEdge{far3[i], static_cast<Port>(ports3->get(i))};
-  };
+  if (!far3_) {
+    const graph::HalfEdge far = net_->cubic.rotate(v, p);
+    return {far.node, far.port};
+  }
+  const std::size_t i = 3 * static_cast<std::size_t>(v) + p;
+  return {far3_[i], static_cast<Port>(ports3_->get(i))};
+}
+
+RouteSession::Departure RouteSession::depart() {
+  Departure d;
+  if (finished_) {
+    d.terminate = true;
+    return d;
+  }
   if (!injected_) {
     // Injection: s sends along d_0 = (start, port 0); consumes no symbol.
-    graph::HalfEdge far = rotate(start_gadget_, 0);
-    at_ = {far.node, far.port};
-    at_original_ = original_of_[at_.node];
-    injected_ = true;
-    ++transmissions_;
-    if (header_.kind == Kind::kRoute && at_original_ == header_.target) {
-      target_reached_ = true;
-      first_hit_step_ = 0;
-    }
-    return;
+    d.from = start_gadget_;
+    return d;
   }
   const bool was_forward = header_.dir == Direction::kForward;
-  NodeView view{at_original_, far3 ? Port{3} : g.degree(at_.node)};
+  NodeView view{at_original_,
+                far3_ ? Port{3} : net_->cubic.degree(at_.node)};
   StepOutcome o =
       step_node(view, at_.port, header_, seq_length_,
                 [this](std::uint64_t j) { return buffered_symbol(j); });
@@ -172,17 +170,29 @@ void RouteSession::step() {
   if (o.terminate) {
     finished_ = true;
     status_ = o.final_status;
-    return;
+    d.terminate = true;
+    return d;
   }
-  graph::HalfEdge far = rotate(at_.node, o.out_port);
-  at_ = {far.node, far.port};
+  d.from = at_.node;
+  d.port = o.out_port;
+  return d;
+}
+
+void RouteSession::arrive(net::Arrival at) {
+  at_ = at;
   at_original_ = original_of_[at_.node];
+  injected_ = true;
   ++transmissions_;
   if (header_.dir == Direction::kForward && header_.kind == Kind::kRoute &&
       at_original_ == header_.target && !target_reached_) {
     target_reached_ = true;
     first_hit_step_ = header_.index;
   }
+}
+
+void RouteSession::step() {
+  const Departure d = depart();
+  if (!d.terminate) arrive(rotate(d.from, d.port));
 }
 
 UesRouter::UesRouter(const explore::ReducedGraph& net,

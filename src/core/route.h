@@ -79,8 +79,26 @@ class RouteSession {
                const explore::ExplorationSequence& seq, graph::NodeId s,
                graph::NodeId t);
 
-  /// Performs one transmission.  No-op once finished().
+  /// Performs one transmission: depart(), then arrive() where the perfect
+  /// link lands.  No-op once finished().
   void step();
+
+  /// Where the next transmission leaves from, or that the walk terminated
+  /// (the free step: finished() is true from then on).
+  struct Departure {
+    bool terminate = false;
+    graph::NodeId from = 0;  ///< gadget holding the message
+    graph::Port port = 0;    ///< the port it sends out of
+  };
+  /// The departure half of step(): all header bookkeeping up to the wire.
+  /// A driver that carries the hop itself (core::LossyRouteSession runs
+  /// it through an ARQ) calls arrive() once the frame landed; a hop that
+  /// never lands leaves the walk unusable, so its driver restarts it.
+  Departure depart();
+  /// The arrival half of step(): the message landed at `at`.
+  void arrive(net::Arrival at);
+  /// The perfect link: where a frame sent out of (v, p) lands.
+  net::Arrival rotate(graph::NodeId v, graph::Port p) const;
 
   bool finished() const { return finished_; }
   /// Final status; only meaningful once finished().

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 
-#include "core/dynamic_route.h"
 #include "core/multi_walk.h"
 #include "explore/sequence_cache.h"
 #include "net/message.h"
@@ -101,38 +99,43 @@ struct HybridLane final : TrafficEngine::Lane {
   }
 };
 
-/// Dynamic-mode Algorithm Route: restarts on epoch changes (§2.8); the
-/// verdict is exact for completion_epoch.
-struct DynamicRouteLane final : TrafficEngine::Lane {
-  DynamicRouteSession session;
-
-  DynamicRouteLane(const net::DynamicTransport& transport, NodeId s,
-                   NodeId t, std::uint64_t seq_seed)
-      : session(transport, s, t, {seq_seed}) {}
-  void step() override { session.step(); }
-  bool finished() const override { return session.finished(); }
-  std::uint64_t transmissions() const override {
-    return session.transmissions();
-  }
-  void finalize(SessionReport& r) const override {
-    r.delivered = session.delivered();
-    r.failure_certified = session.failure_certified();
-    r.restarts = session.restarts();
-    r.completion_epoch = session.completion_epoch();
-  }
-};
-
-/// Lossy route: one private channel + ARQ per session, over the static
-/// network or composed with churn.  State-disjoint by
-/// construction — each lane owns its EventSim — so parallel rounds stay
-/// bit-identical for any thread count.
+/// Route over one LossyRouteSession: its own lossy channel + ARQ over the
+/// static network, or the churning topology (§2.8 restarts), lossy or on
+/// perfect links.  State-disjoint by construction — each lane owns its
+/// walk and channel — so parallel rounds stay bit-identical for any thread
+/// count.
 struct LossyRouteLane final : TrafficEngine::Lane {
-  std::optional<LossyRouteSession> session;  ///< empty iff static s == t
+  LossyRouteSession session;
 
+  /// Static network, lossy.
   LossyRouteLane(const explore::ReducedGraph& net,
                  const explore::ExplorationSequence& seq, NodeId s, NodeId t,
-                 const LossyTrafficConfig& cfg, std::size_t id) {
-    if (s == t) return;
+                 const LossyTrafficConfig& cfg, std::size_t id)
+      : session(net, seq, s, t, static_options(net, cfg, id)) {
+    if (session.finished() || cfg.one_sided_down <= 0.0) return;
+    // Per-session direction kills from a dedicated stream (never the
+    // channel's): replayable and thread-count invariant.
+    util::Pcg32 flips(util::counter_hash(cfg.net_seed ^ 0x1e51dedu, id));
+    const graph::Graph& cubic = net.cubic;
+    net::EventSim& sim = session.sim();
+    for (NodeId v = 0; v < cubic.num_nodes(); ++v)
+      for (graph::Port q = 0; q < cubic.degree(v); ++q)
+        if (flips.next_double() < cfg.one_sided_down)
+          sim.set_link_up(v, q, false);
+  }
+  /// Churning network, lossy.
+  LossyRouteLane(const graph::DynamicGraph& g, NodeId s, NodeId t,
+                 const LossyTrafficConfig& cfg, std::uint64_t seq_seed,
+                 std::size_t id)
+      : session(g, s, t, dynamic_options(cfg, seq_seed, id)) {}
+  /// Churning network, perfect links.
+  LossyRouteLane(const graph::DynamicGraph& g, NodeId s, NodeId t,
+                 std::uint64_t seq_seed)
+      : session(LossyRouteSession::perfect_link(g, s, t, seq_seed)) {}
+
+  static LossyRouteOptions static_options(const explore::ReducedGraph& net,
+                                          const LossyTrafficConfig& cfg,
+                                          std::size_t id) {
     LossyRouteOptions options;
     options.link = cfg.link;
     options.reliable = cfg.reliable;
@@ -143,50 +146,32 @@ struct LossyRouteLane final : TrafficEngine::Lane {
     if (cfg.chaos)
       options.faults.merge(net::FaultPlan::sample(
           net.cubic, *cfg.chaos, util::counter_hash(cfg.chaos_seed, id)));
-    session.emplace(net, seq, s, t, options);
-    if (cfg.one_sided_down > 0.0) {
-      // Per-session direction kills from a dedicated stream (never the
-      // channel's): replayable and thread-count invariant.
-      util::Pcg32 flips(util::counter_hash(cfg.net_seed ^ 0x1e51dedu, id));
-      const graph::Graph& cubic = net.cubic;
-      net::EventSim& sim = session->sim();
-      for (NodeId v = 0; v < cubic.num_nodes(); ++v)
-        for (graph::Port q = 0; q < cubic.degree(v); ++q)
-          if (flips.next_double() < cfg.one_sided_down)
-            sim.set_link_up(v, q, false);
-    }
+    return options;
   }
-  LossyRouteLane(const graph::DynamicGraph& g, NodeId s, NodeId t,
-                 const LossyTrafficConfig& cfg, std::uint64_t seq_seed,
-                 std::size_t id) {
+  static LossyDynamicOptions dynamic_options(const LossyTrafficConfig& cfg,
+                                             std::uint64_t seq_seed,
+                                             std::size_t id) {
     LossyDynamicOptions options{cfg, seq_seed};
     options.net_seed = util::counter_hash(cfg.net_seed, id);
     options.chaos_seed = util::counter_hash(cfg.chaos_seed, id);
-    session.emplace(g, s, t, options);
+    return options;
   }
-  void step() override {
-    if (session) session->step();
-  }
-  bool finished() const override { return !session || session->finished(); }
+
+  void step() override { session.step(); }
+  bool finished() const override { return session.finished(); }
   std::uint64_t transmissions() const override {
-    return session ? session->wire_frames() : 0;
+    return session.wire_frames();
   }
-  bool blocked() const override { return session && session->blocked(); }
-  void give_up() override {
-    if (session) session->give_up();
-  }
+  bool blocked() const override { return session.blocked(); }
+  void give_up() override { session.give_up(); }
   void finalize(SessionReport& r) const override {
-    if (!session) {  // degenerate s == t: delivered for free
-      r.delivered = true;
-      return;
-    }
-    r.delivered = session->delivered();
-    r.failure_certified = session->failure_certified();
-    r.uncertified = session->uncertified();
-    r.hops = session->hops();
-    r.restarts = session->restarts();
-    r.completion_epoch = session->completion_epoch();
-    const ArqStats st = session->arq_stats();
+    r.delivered = session.delivered();
+    r.failure_certified = session.failure_certified();
+    r.uncertified = session.uncertified();
+    r.hops = session.hops();
+    r.restarts = session.restarts();
+    r.completion_epoch = session.completion_epoch();
+    const ArqStats st = session.arq_stats();
     r.retransmits = st.retransmits;
     r.virtual_time = st.virtual_time;
   }
@@ -239,7 +224,6 @@ TrafficEngine::TrafficEngine(const graph::Scenario& scenario,
     throw std::invalid_argument("TrafficEngine: epoch_period >= 1");
   dynamic_graph_ =
       std::make_unique<graph::DynamicGraph>(scenario_->initial());
-  transport_ = std::make_unique<net::DynamicTransport>(*dynamic_graph_);
   next_epoch_tick_ = options_.epoch_period;
   pool_ = std::make_unique<PoolHolder>(options_.threads);
 }
@@ -368,8 +352,8 @@ void TrafficEngine::activate_arrivals() {
                                                     spec.t, *options_.lossy,
                                                     id);
     } else if (dynamic()) {
-      lanes_[id] = std::make_unique<DynamicRouteLane>(
-          *transport_, spec.s, spec.t, options_.seq_seed);
+      lanes_[id] = std::make_unique<LossyRouteLane>(
+          *dynamic_graph_, spec.s, spec.t, options_.seq_seed);
     } else if (spec.kind == TrafficKind::kBroadcast) {
       // (Static perfect-link kRoute sessions all run on the arena shards.)
       lanes_[id] = std::make_unique<BroadcastLane>(reduced_, *seq_, spec.s);

@@ -58,7 +58,6 @@
 #include "graph/churn.h"
 #include "graph/dynamic.h"
 #include "graph/graph.h"
-#include "net/dynamic_transport.h"
 
 namespace uesr::core {
 
@@ -113,8 +112,10 @@ struct SessionReport {
   /// Dynamic mode only: epoch restarts and the epoch the verdict is about.
   std::uint64_t restarts = 0;
   std::uint64_t completion_epoch = 0;
-  /// Lossy mode only: successful link transfers and ARQ behaviour
-  /// (transmissions counts wire frames there, hops the walk length).
+  /// Lossy and dynamic modes: successful link transfers (the walk length;
+  /// equal to transmissions on perfect links, where every transmission is
+  /// one hop).  Lossy mode only: ARQ behaviour (transmissions counts wire
+  /// frames there).
   std::uint64_t hops = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t virtual_time = 0;  ///< channel virtual time consumed
@@ -233,7 +234,7 @@ class TrafficEngine {
   std::uint64_t clock() const { return clock_; }
   /// Dynamic mode: the committed epoch of the shared topology (0 static).
   std::uint64_t epoch() const;
-  bool dynamic() const { return transport_ != nullptr; }
+  bool dynamic() const { return dynamic_graph_ != nullptr; }
 
   std::size_t session_count() const { return reports_.size(); }
   std::size_t unfinished_count() const { return unfinished_; }
@@ -275,7 +276,6 @@ class TrafficEngine {
   // Dynamic mode: an owned scenario replay on the shared clock.
   std::unique_ptr<graph::Scenario> scenario_;
   std::unique_ptr<graph::DynamicGraph> dynamic_graph_;
-  std::unique_ptr<net::DynamicTransport> transport_;
   std::uint64_t epochs_done_ = 0;
   std::uint64_t next_epoch_tick_ = 0;
 

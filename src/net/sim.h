@@ -1,7 +1,7 @@
 // Deterministic event-driven simulator of an asynchronous lossy network.
 //
-// Everything above this layer (Transport, DynamicTransport, TrafficEngine)
-// runs on a synchronous slotted clock over perfect links; the paper's
+// Everything above this layer (Transport, TrafficEngine) runs on a
+// synchronous slotted clock over perfect links; the paper's
 // setting is the opposite — frames are late, lost, duplicated, and links
 // die one direction at a time.  EventSim supplies that regime while keeping
 // the repo's deterministic-replay contract (ROADMAP): the whole schedule is

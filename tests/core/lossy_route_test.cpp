@@ -466,5 +466,51 @@ TEST(LossyDynamicRoute, OneSidedFlipsAreReplayable) {
   EXPECT_EQ(frames[0], frames[1]);
 }
 
+// ---------------------------------------------------------------------------
+// One walk driver: the degenerate static walk, and the perfect-link churn
+// walk stepping RouteSession's bookkeeping hop for hop.
+// ---------------------------------------------------------------------------
+
+TEST(LossyRouteSession, SourceEqualsTargetIsImmediateWithNoChannel) {
+  Fixture fx(graph::cycle(4));
+  LossyRouteSession session(fx.net, *fx.seq, 2, 2);
+  EXPECT_TRUE(session.finished());
+  EXPECT_TRUE(session.delivered());
+  EXPECT_EQ(session.hops(), 0u);
+  EXPECT_EQ(session.wire_frames(), 0u);
+  EXPECT_EQ(session.run(), LossyVerdict::kDelivered);
+}
+
+TEST(LossyDynamicRoute, PerfectLinkLockstepsRouteSessionOnFrozenTopology) {
+  // split_graph has two components, so both verdicts occur.
+  for (const Graph& original :
+       {split_graph(4, 0.7, 7), graph::connected_gnp(9, 0.4, 31),
+        graph::cycle(6)}) {
+    const graph::DynamicGraph g(original);
+    const Fixture fx(g.snapshot());  // the walk reduces the snapshot
+    for (NodeId s = 0; s < g.num_nodes(); ++s) {
+      for (NodeId t = 0; t < g.num_nodes(); ++t) {
+        if (s == t) continue;
+        RouteSession route(fx.net, *fx.seq, s, t);
+        LossyRouteSession walk = LossyRouteSession::perfect_link(g, s, t);
+        while (!route.finished()) {
+          route.step();
+          walk.step();
+          ASSERT_EQ(walk.hops(), route.transmissions()) << s << "->" << t;
+          ASSERT_EQ(walk.wire_frames(), walk.hops());
+          ASSERT_EQ(walk.target_reached(), route.target_reached());
+          ASSERT_EQ(walk.finished(), route.finished());
+        }
+        EXPECT_EQ(walk.delivered(),
+                  route.status() == net::Status::kSuccess);
+        EXPECT_EQ(walk.failure_certified(),
+                  route.status() == net::Status::kFailure);
+        EXPECT_EQ(walk.restarts(), 0u);
+        EXPECT_FALSE(walk.blocked());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace uesr::core

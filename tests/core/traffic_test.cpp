@@ -281,8 +281,9 @@ TEST(TrafficEngine, OpenLoopDeparturesRetireWithoutVerdict) {
   EXPECT_TRUE(gone.departed);
   EXPECT_FALSE(gone.delivered);
   EXPECT_FALSE(gone.failure_certified);
-  // Rounds clamp to departure ticks, so the retirement instant is exact,
-  // and a slotted walk spends one transmission per tick until then.
+  // An arena walk's grant stops at its departure tick, so the retirement
+  // instant is exact, and a slotted walk spends one transmission per tick
+  // until then.
   EXPECT_EQ(gone.completed_at, 5u);
   EXPECT_EQ(gone.transmissions, 5u);
   const SessionReport& kept = engine.report(1);
