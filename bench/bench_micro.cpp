@@ -15,6 +15,7 @@
 #include "graph/generators.h"
 #include "reingold/products.h"
 #include "reingold/rotation_map.h"
+#include "util/parallel.h"
 
 namespace {
 
@@ -208,6 +209,25 @@ void BM_DegreeReduction(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_nodes());
 }
 BENCHMARK(BM_DegreeReduction)->Arg(256)->Arg(2048)->Arg(16384);
+
+// The degree-reduction layer of the traffic benchmark on its own: the
+// 2^20-node graph of perfbench's cluster workloads (131,072 copies of one
+// connected_gnp(8, 0.45) cluster), reduced on a pool of 1 or 2 lanes as
+// TrafficEngine's constructor does.
+void BM_DegreeReductionClusters(benchmark::State& state) {
+  static const graph::Graph g = graph::disjoint_copies(
+      graph::connected_gnp(8, 0.45, 211), 131072);
+  const auto threads = static_cast<unsigned>(state.range(0));
+  util::ThreadPool pool(threads);
+  for (auto _ : state) {
+    auto r = explore::reduce_to_cubic(g, &pool);
+    benchmark::DoNotOptimize(r.cubic.num_nodes());
+  }
+  state.counters["threads"] = threads;
+  state.SetItemsProcessed(state.iterations() * g.num_nodes());
+}
+BENCHMARK(BM_DegreeReductionClusters)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RotationProductQuery(benchmark::State& state) {
   using namespace uesr::reingold;

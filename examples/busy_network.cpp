@@ -5,6 +5,8 @@
 //                    [--seed=7] [--churn] [--period=64] [--epochs=32]
 //                    [--threads=N]
 //
+// A malformed flag value prints its message and exits 2.
+//
 // Everything else in examples/ routes one message at a time; a deployed
 // network serves a crowd.  The traffic engine admits a whole workload —
 // Poisson arrivals, a hotspot sink, all-pairs gossip, or a mixed blend of
@@ -16,6 +18,7 @@
 // session, stamped with the epoch they completed against.
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "baselines/workload.h"
@@ -27,19 +30,33 @@
 
 int main(int argc, char** argv) {
   uesr::util::Cli cli(argc, argv);
-  const auto nodes =
-      static_cast<uesr::graph::NodeId>(cli.get_int("nodes", 40));
-  const int sessions = static_cast<int>(cli.get_int("sessions", 200));
+  uesr::graph::NodeId nodes = 0;
+  int sessions = 0;
   const std::string kind = cli.get("workload", "poisson");
-  const double interarrival = cli.get_double("interarrival", 2.0);
-  const auto sink = static_cast<uesr::graph::NodeId>(cli.get_int("sink", 0));
-  const auto ttl = static_cast<std::uint64_t>(cli.get_int("ttl", 4096));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
-  const bool churn = cli.get_bool("churn", false);
-  const auto period = static_cast<std::uint64_t>(cli.get_int("period", 64));
-  const auto epochs = static_cast<std::uint64_t>(cli.get_int("epochs", 32));
-  const unsigned threads = uesr::util::resolve_threads(
-      static_cast<unsigned>(cli.get_int("threads", 0)));
+  double interarrival = 0.0;
+  uesr::graph::NodeId sink = 0;
+  std::uint64_t ttl = 0;
+  std::uint64_t seed = 0;
+  bool churn = false;
+  std::uint64_t period = 0;
+  std::uint64_t epochs = 0;
+  unsigned threads = 0;
+  try {
+    nodes = static_cast<uesr::graph::NodeId>(cli.get_int("nodes", 40));
+    sessions = static_cast<int>(cli.get_int("sessions", 200));
+    interarrival = cli.get_double("interarrival", 2.0);
+    sink = static_cast<uesr::graph::NodeId>(cli.get_int("sink", 0));
+    ttl = static_cast<std::uint64_t>(cli.get_int("ttl", 4096));
+    seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+    churn = cli.get_bool("churn", false);
+    period = static_cast<std::uint64_t>(cli.get_int("period", 64));
+    epochs = static_cast<std::uint64_t>(cli.get_int("epochs", 32));
+    threads = uesr::util::resolve_threads(
+        static_cast<unsigned>(cli.get_int("threads", 0)));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "busy_network: " << e.what() << "\n";
+    return 2;
+  }
 
   uesr::baselines::Workload w;
   if (kind == "poisson") {

@@ -7,8 +7,11 @@
 // Shows the doubling epochs, the neighbourhood-closure certificate, and
 // the exact message bill.  --faithful executes every probe hop by hop
 // (O(L^3) messages — the price of statelessness); the default fast mode
-// reports identical numbers from a central replay.
+// reports identical numbers from a central replay.  A malformed flag
+// value prints its message and exits 2.
+#include <cstdint>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/api.h"
 #include "graph/algorithms.h"
@@ -17,10 +20,19 @@
 
 int main(int argc, char** argv) {
   uesr::util::Cli cli(argc, argv);
-  const auto n = static_cast<uesr::graph::NodeId>(cli.get_int("nodes", 18));
-  const double p = cli.get_double("p", 0.14);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 11));
-  const bool faithful = cli.get_bool("faithful", false);
+  uesr::graph::NodeId n = 0;
+  double p = 0.0;
+  std::uint64_t seed = 0;
+  bool faithful = false;
+  try {
+    n = static_cast<uesr::graph::NodeId>(cli.get_int("nodes", 18));
+    p = cli.get_double("p", 0.14);
+    seed = static_cast<std::uint64_t>(cli.get_int("seed", 11));
+    faithful = cli.get_bool("faithful", false);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "census: " << e.what() << "\n";
+    return 2;
+  }
 
   // A graph with several components: each census sees only its own world.
   uesr::graph::Graph g = uesr::graph::gnp(n, p, seed);

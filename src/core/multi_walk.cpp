@@ -22,9 +22,16 @@ MultiWalkArena::MultiWalkArena(const explore::ReducedGraph& net,
       original_of_(net.original_of.data()) {
   if (!net.cubic.is_cubic())
     throw std::invalid_argument("MultiWalkArena: reduced graph must be cubic");
+  check_capacity(net.cubic.num_nodes());
   symbols_.resize(kBlockLanes * kSymbolWindow);
   win_lo_.resize(kBlockLanes);
   win_len_.assign(kBlockLanes, 0);
+}
+
+void MultiWalkArena::check_capacity(std::uint64_t cubic_nodes) {
+  if (cubic_nodes >= kNoCheck)
+    throw std::length_error(
+        "MultiWalkArena: node count reaches the 2^32 - 1 sentinel");
 }
 
 std::size_t MultiWalkArena::admit(NodeId s, NodeId t) {

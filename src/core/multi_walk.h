@@ -50,9 +50,16 @@ class MultiWalkArena {
   static constexpr std::size_t kSymbolWindow = 64;
 
   /// `net` must be cubic (every reduce_to_cubic output is) and, with
-  /// `seq`, must outlive the arena.
+  /// `seq`, must outlive the arena.  Throws what check_capacity() throws
+  /// for its node count.
   MultiWalkArena(const explore::ReducedGraph& net,
                  const explore::ExplorationSequence& seq);
+
+  /// Throws std::length_error when a cubic network of `cubic_nodes`
+  /// vertices reaches the 2^32 - 1 sentinel the deferred target check
+  /// reserves (a reduction has at least 3 gadgets per original node, so
+  /// this bounds 3n too).
+  static void check_capacity(std::uint64_t cubic_nodes);
 
   /// Admits the walk s -> t (original names, s != t); returns its walk
   /// index (dense, in admission order).  State is never freed: a finished
@@ -107,7 +114,8 @@ class MultiWalkArena {
   static constexpr std::uint8_t kTargetReached = 16;
 
   /// "No deferred target check" sentinel for step_lane's out-param (never
-  /// a real gadget node: reductions keep 3n well under 2^32 - 1).
+  /// a real gadget node: the constructor's check_capacity() keeps every
+  /// gadget id below it).
   static constexpr graph::NodeId kNoCheck = ~graph::NodeId{0};
 
   /// One step() of lane r (scratch row r, walk walks_[r]).  kIsBackward

@@ -27,8 +27,11 @@ struct TrafficEngine::Lane {
   virtual void step() = 0;
   virtual bool finished() const = 0;
   virtual std::uint64_t transmissions() const = 0;
+  /// Writes the walk's counters other than transmissions, at completion
+  /// and at departure alike.
+  virtual void counters(SessionReport& r) const = 0;
   /// Writes the verdict fields once finished().
-  virtual void finalize(SessionReport& r) const = 0;
+  virtual void verdict(SessionReport& r) const = 0;
   /// Lossy only: the session spent a retry budget and sleeps until the
   /// next epoch (stepping it is free and futile).
   virtual bool blocked() const { return false; }
@@ -66,11 +69,13 @@ struct BroadcastLane final : TrafficEngine::Lane {
   std::uint64_t transmissions() const override {
     return session.transmissions();
   }
-  void finalize(SessionReport& r) const override {
+  void counters(SessionReport& r) const override {
+    r.distinct_visited = distinct;
+  }
+  void verdict(SessionReport& r) const override {
     // A completed broadcast delivered to everything reachable (when the
     // sequence covers); there is no failure verdict to certify.
     r.delivered = true;
-    r.distinct_visited = distinct;
   }
 };
 
@@ -91,7 +96,8 @@ struct HybridLane final : TrafficEngine::Lane {
   std::uint64_t transmissions() const override {
     return prob->transmissions() + guar.transmissions();
   }
-  void finalize(SessionReport& r) const override {
+  void counters(SessionReport&) const override {}
+  void verdict(SessionReport& r) const override {
     const HybridResult& res = hybrid.result();
     r.delivered = res.delivered;
     r.failure_certified = res.certified_unreachable;
@@ -164,16 +170,18 @@ struct LossyRouteLane final : TrafficEngine::Lane {
   }
   bool blocked() const override { return session.blocked(); }
   void give_up() override { session.give_up(); }
-  void finalize(SessionReport& r) const override {
-    r.delivered = session.delivered();
-    r.failure_certified = session.failure_certified();
-    r.uncertified = session.uncertified();
+  void counters(SessionReport& r) const override {
     r.hops = session.hops();
     r.restarts = session.restarts();
-    r.completion_epoch = session.completion_epoch();
     const ArqStats st = session.arq_stats();
     r.retransmits = st.retransmits;
     r.virtual_time = st.virtual_time;
+  }
+  void verdict(SessionReport& r) const override {
+    r.delivered = session.delivered();
+    r.failure_certified = session.failure_certified();
+    r.uncertified = session.uncertified();
+    r.completion_epoch = session.completion_epoch();
   }
 };
 
@@ -199,12 +207,14 @@ struct TrafficEngine::Shard {
 };
 
 TrafficEngine::TrafficEngine(const graph::Graph& g, TrafficOptions options)
-    : options_(options), graph_(&g), reduced_(explore::reduce_to_cubic(g)) {
+    : options_(options),
+      pool_(std::make_unique<PoolHolder>(options.threads)),
+      graph_(&g),
+      reduced_(explore::reduce_to_cubic(g, &pool_->pool)) {
   if (options_.batch == 0)
     throw std::invalid_argument("TrafficEngine: batch >= 1");
   seq_ = explore::cached_standard_ues(
       std::max<NodeId>(reduced_.cubic.num_nodes(), 1), options_.seq_seed);
-  pool_ = std::make_unique<PoolHolder>(options_.threads);
   if (!options_.lossy) {
     // Static perfect-link mode: route sessions run on sharded SoA arenas.
     const unsigned shard_count =
@@ -217,7 +227,9 @@ TrafficEngine::TrafficEngine(const graph::Graph& g, TrafficOptions options)
 
 TrafficEngine::TrafficEngine(const graph::Scenario& scenario,
                              TrafficOptions options)
-    : options_(options), scenario_(scenario.fresh()) {
+    : options_(options),
+      pool_(std::make_unique<PoolHolder>(options.threads)),
+      scenario_(scenario.fresh()) {
   if (options_.batch == 0)
     throw std::invalid_argument("TrafficEngine: batch >= 1");
   if (options_.max_epochs > 0 && options_.epoch_period == 0)
@@ -225,7 +237,6 @@ TrafficEngine::TrafficEngine(const graph::Scenario& scenario,
   dynamic_graph_ =
       std::make_unique<graph::DynamicGraph>(scenario_->initial());
   next_epoch_tick_ = options_.epoch_period;
-  pool_ = std::make_unique<PoolHolder>(options_.threads);
 }
 
 TrafficEngine::~TrafficEngine() = default;
@@ -324,6 +335,7 @@ void TrafficEngine::process_departures() {
     r.departed = true;
     r.transmissions = lanes_[id]->transmissions();
     r.completed_at = clock_;
+    lanes_[id]->counters(r);
     lanes_[id].reset();
     --unfinished_;
   }
@@ -553,7 +565,8 @@ std::size_t TrafficEngine::run_round() {
               r.finished = true;
               r.transmissions = lane.transmissions();
               r.completed_at = clock_ + used;
-              lane.finalize(r);
+              lane.counters(r);
+              lane.verdict(r);
             }
           }
         });

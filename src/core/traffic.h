@@ -267,6 +267,9 @@ class TrafficEngine {
   void advance_epochs_to(std::uint64_t tick);
 
   TrafficOptions options_;
+  struct PoolHolder;  ///< hides util/parallel.h from this header
+  /// Built first: the static constructor's degree reduction runs on it.
+  std::unique_ptr<PoolHolder> pool_;
 
   // Static mode: the shared network; one reduction + one shared sequence.
   const graph::Graph* graph_ = nullptr;
@@ -306,8 +309,6 @@ class TrafficEngine {
   std::vector<std::size_t> arena_pending_;
   std::vector<std::size_t> active_;  ///< ids being stepped, ascending
   std::size_t unfinished_ = 0;
-  struct PoolHolder;  ///< hides util/parallel.h from this header
-  std::unique_ptr<PoolHolder> pool_;
 };
 
 }  // namespace uesr::core

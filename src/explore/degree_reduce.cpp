@@ -1,6 +1,10 @@
 #include "explore/degree_reduce.h"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
+
+#include "util/parallel.h"
 
 namespace uesr::explore {
 
@@ -28,55 +32,65 @@ bool ReducedGraph::belongs_to(NodeId gv, NodeId v) const {
   return original_of[gv] == v;
 }
 
-ReducedGraph reduce_to_cubic(const graph::Graph& g) {
+graph::NodeId lay_out_gadgets(const std::vector<NodeId>& count,
+                              std::vector<NodeId>& first) {
+  first.resize(count.size());
+  std::uint64_t total = 0;
+  for (std::size_t v = 0; v < count.size(); ++v) {
+    first[v] = static_cast<NodeId>(total);  // only kept when total fits
+    total += count[v];
+  }
+  if (total > std::numeric_limits<NodeId>::max())
+    throw std::length_error("reduce_to_cubic: gadget ids overflow NodeId");
+  return static_cast<NodeId>(total);
+}
+
+ReducedGraph reduce_to_cubic(const graph::Graph& g, util::ThreadPool* pool) {
   ReducedGraph r;
   const NodeId n = g.num_nodes();
-  r.first_gadget.resize(n);
   r.gadget_count.resize(n);
-  NodeId total = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    r.first_gadget[v] = total;
-    r.gadget_count[v] = std::max<NodeId>(g.degree(v), 3);
-    total += r.gadget_count[v];
-  }
-  r.original_of.resize(total);
   for (NodeId v = 0; v < n; ++v)
-    for (NodeId j = 0; j < r.gadget_count[v]; ++j)
-      r.original_of[r.first_gadget[v] + j] = v;
+    r.gadget_count[v] = std::max<NodeId>(g.degree(v), 3);
+  const NodeId total = lay_out_gadgets(r.gadget_count, r.first_gadget);
+  r.original_of.resize(total);
 
-  // Build the 3-regular rotation map directly in flat CSR form: gadget
-  // vertex gv's half-edges live at half[3*gv + port].
-  std::vector<HalfEdge> half(3 * static_cast<std::size_t>(total));
-  // Gadget cycles: port 1 of gadget j meets port 0 of gadget j+1 (mod c).
-  for (NodeId v = 0; v < n; ++v) {
-    NodeId base = r.first_gadget[v];
-    NodeId c = r.gadget_count[v];
-    for (NodeId j = 0; j < c; ++j) {
-      NodeId cur = base + j;
-      NodeId nxt = base + (j + 1) % c;
-      half[3 * static_cast<std::size_t>(cur) + 1] = {nxt, 0};
-      half[3 * static_cast<std::size_t>(nxt) + 0] = {cur, 1};
-    }
-  }
-  // External edges: original port p of v is carried by gadget(v, p) port 2.
-  for (NodeId v = 0; v < n; ++v) {
-    Port d = g.degree(v);
-    for (Port p = 0; p < d; ++p) {
-      HalfEdge far = g.rotate(v, p);
-      NodeId mine = r.first_gadget[v] + p;
-      NodeId theirs = r.first_gadget[far.node] + far.port;
-      // Involution holds: the far side writes the mirror entry on its turn.
-      half[3 * static_cast<std::size_t>(mine) + 2] = {theirs, 2};
-    }
-    // Padding: unused external ports become half-loops.
-    for (NodeId j = d; j < r.gadget_count[v]; ++j) {
-      NodeId cur = r.first_gadget[v] + j;
-      half[3 * static_cast<std::size_t>(cur) + 2] = {cur, 2};
-    }
-  }
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(total) + 1);
-  for (std::size_t i = 0; i <= total; ++i) offsets[i] = 3 * i;
-  r.cubic = graph::from_rotation(std::move(offsets), std::move(half));
+  // Far nodes of the packed cubic layout: gadget vertex gv's half-edges
+  // live at far[3*gv + port].  Each original vertex writes only its own
+  // gadgets' entries, so chunks of vertices are disjoint writers.
+  const std::size_t half_edges = 3 * static_cast<std::size_t>(total);
+  std::vector<NodeId> far(half_edges);
+  util::ThreadPool serial(1);
+  util::ThreadPool& lanes = pool ? *pool : serial;
+  util::parallel_for(
+      lanes, n, util::default_chunk(n, lanes.size(), 1 << 12),
+      [&](const util::ChunkRange& c) {
+        for (auto v = static_cast<NodeId>(c.begin); v < c.end; ++v) {
+          const NodeId base = r.first_gadget[v];
+          const NodeId count = r.gadget_count[v];
+          const Port d = g.degree(v);
+          for (NodeId j = 0; j < count; ++j) {
+            const NodeId cur = base + j;
+            NodeId* out = far.data() + 3 * static_cast<std::size_t>(cur);
+            // Gadget cycle: port 0 meets the predecessor's port 1, port 1
+            // the successor's port 0.
+            out[0] = base + (j == 0 ? count - 1 : j - 1);
+            out[1] = base + (j + 1 == count ? 0 : j + 1);
+            // External edge: original port j of v is carried by gadget j's
+            // port 2 and meets port 2 of the far side's gadget; unused
+            // ports are padded with half-loops.
+            if (j < d) {
+              const HalfEdge e = g.rotate(v, j);
+              out[2] = r.first_gadget[e.node] + e.port;
+            } else {
+              out[2] = cur;
+            }
+            r.original_of[cur] = v;
+          }
+        }
+      });
+  r.cubic = graph::from_cubic_rotation(
+      std::move(far), util::PackedArray::repeating(2, half_edges, {1, 0, 2}),
+      pool);
   return r;
 }
 

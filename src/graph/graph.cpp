@@ -1,11 +1,58 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parallel.h"
+
 namespace uesr::graph {
+
+namespace {
+
+constexpr const char* kNodeOutOfRange =
+    "Graph::validate: endpoint node out of range";
+constexpr const char* kPortOutOfRange =
+    "Graph::validate: endpoint port out of range";
+constexpr const char* kNotInvolution =
+    "Graph::validate: rotation map is not an involution";
+
+/// validate()'s checks over the vertices [begin, end) of a packed cubic
+/// rotation map, stopping at the first violation.
+struct CubicScan {
+  std::size_t half_loops = 0;
+  const char* error = nullptr;  ///< validate()'s message, or none
+};
+
+CubicScan scan_cubic(const NodeId* far, const util::PackedArray& ports,
+                     NodeId n, std::uint64_t begin, std::uint64_t end) {
+  CubicScan s;
+  for (std::uint64_t v = begin; v < end; ++v)
+    for (Port p = 0; p < 3; ++p) {
+      const std::size_t i = 3 * v + p;
+      const NodeId w = far[i];
+      const auto q = static_cast<Port>(ports.get(i));
+      if (w >= n) {
+        s.error = kNodeOutOfRange;
+        return s;
+      }
+      if (q >= 3) {
+        s.error = kPortOutOfRange;
+        return s;
+      }
+      const std::size_t j = 3 * static_cast<std::size_t>(w) + q;
+      if (far[j] != v || ports.get(j) != p) {
+        s.error = kNotInvolution;
+        return s;
+      }
+      if (j == i) ++s.half_loops;
+    }
+  return s;
+}
+
+}  // namespace
 
 GraphBuilder::GraphBuilder(NodeId num_nodes) : adj_(num_nodes) {}
 
@@ -88,48 +135,71 @@ void Graph::adopt_flat(std::vector<std::size_t> offsets,
   // every construction path yields identical members and the defaulted
   // operator== stays purely observational.
   if (offsets.size() == 1) offsets.clear();
-  offsets_ = std::move(offsets);
-  half_edges_ = std::move(half_edges);
-  finalize_shape();
-  recount_edges();
-  validate();
-}
-
-void Graph::finalize_shape() {
-  num_nodes_ = offsets_.empty() ? 0 : static_cast<NodeId>(offsets_.size() - 1);
-  cubic_ = num_nodes_ > 0;
-  for (NodeId v = 0; v < num_nodes_; ++v)
-    if (offsets_[v + 1] - offsets_[v] != 3) {
-      cubic_ = false;
-      break;
-    }
+  const std::size_t n = offsets.empty() ? 0 : offsets.size() - 1;
+  bool cubic = n > 0;
+  for (std::size_t v = 0; cubic && v < n; ++v)
+    cubic = offsets[v + 1] - offsets[v] == 3;
   // A far port >= 4 cannot be packed into 2 bits; such an entry is invalid
   // for a degree-3 vertex anyway, so keep the generic layout and let
   // validate() reject it with the exact offending range.
-  if (cubic_)
-    for (const HalfEdge& he : half_edges_)
-      if (he.port >= 4) {
-        cubic_ = false;
-        break;
-      }
-  if (cubic_) {
+  for (std::size_t i = 0; cubic && i < half_edges.size(); ++i)
+    cubic = half_edges[i].port < 4;
+  if (cubic) {
     // Repack into the memory-lean cubic layout (4 B far node + 2-bit far
     // port per half-edge) and drop the generic arrays: degrees are implied,
     // so neither the offsets nor the 8-byte HalfEdge entries earn their
     // footprint on million-gadget reduced graphs.
-    const std::size_t m = half_edges_.size();
-    far_nodes_.resize(m);
-    far_ports_ = util::PackedArray(2, m);
+    const std::size_t m = half_edges.size();
+    std::vector<NodeId> far_nodes(m);
+    util::PackedArray far_ports(2, m);
     for (std::size_t i = 0; i < m; ++i) {
-      far_nodes_[i] = half_edges_[i].node;
-      far_ports_.set(i, half_edges_[i].port);
+      far_nodes[i] = half_edges[i].node;
+      far_ports.set(i, half_edges[i].port);
     }
-    offsets_ = {};
-    half_edges_ = {};
-  } else {
-    far_nodes_ = {};
-    far_ports_ = {};
+    adopt_cubic(std::move(far_nodes), std::move(far_ports), nullptr);
+    return;
   }
+  num_nodes_ = static_cast<NodeId>(n);
+  offsets_ = std::move(offsets);
+  half_edges_ = std::move(half_edges);
+  recount_edges();
+  validate();
+}
+
+void Graph::adopt_cubic(std::vector<NodeId> far_nodes,
+                        util::PackedArray far_ports, util::ThreadPool* pool) {
+  const std::size_t m = far_nodes.size();
+  if (m % 3 != 0)
+    throw std::invalid_argument("Graph: cubic far nodes must come in triples");
+  if (far_ports.size() != m || (m > 0 && far_ports.width() != 2))
+    throw std::invalid_argument(
+        "Graph: cubic far ports must be 2-bit, one per far node");
+  if (m / 3 > std::numeric_limits<NodeId>::max())
+    throw std::length_error("Graph: cubic node count exceeds NodeId");
+  // The zero-node graph keeps no storage at all, as on every other path.
+  if (m == 0) return;
+  const auto n = static_cast<NodeId>(m / 3);
+  util::ThreadPool serial(1);
+  util::ThreadPool& lanes = pool ? *pool : serial;
+  // Chunks above the lowest violating one are pruned or discarded, so the
+  // error reported is the lowest-index one, as in a serial scan.
+  const std::vector<CubicScan> parts = util::parallel_prefix_search<CubicScan>(
+      lanes, n, util::default_chunk(n, lanes.size(), 1 << 14),
+      [&](const util::ChunkRange& c) {
+        return scan_cubic(far_nodes.data(), far_ports, n, c.begin, c.end);
+      },
+      [](const CubicScan& s) { return s.error != nullptr; });
+  std::size_t half_loops = 0;
+  for (const CubicScan& s : parts) {
+    if (s.error) throw std::logic_error(s.error);
+    half_loops += s.half_loops;
+  }
+  num_nodes_ = n;
+  cubic_ = true;
+  far_nodes_ = std::move(far_nodes);
+  far_ports_ = std::move(far_ports);
+  // Every non-fixed-point half-edge pairs with exactly one other.
+  num_edges_ = (m - half_loops) / 2 + half_loops;
 }
 
 Port Graph::max_degree() const {
@@ -176,14 +246,11 @@ void Graph::validate() const {
   for (NodeId v = 0; v < num_nodes_; ++v) {
     for (Port p = 0; p < degree(v); ++p) {
       HalfEdge far = rotate(v, p);
-      if (far.node >= num_nodes_)
-        throw std::logic_error("Graph::validate: endpoint node out of range");
+      if (far.node >= num_nodes_) throw std::logic_error(kNodeOutOfRange);
       if (far.port >= degree(far.node))
-        throw std::logic_error("Graph::validate: endpoint port out of range");
+        throw std::logic_error(kPortOutOfRange);
       HalfEdge back = rotate(far.node, far.port);
-      if (back != HalfEdge{v, p})
-        throw std::logic_error(
-            "Graph::validate: rotation map is not an involution");
+      if (back != HalfEdge{v, p}) throw std::logic_error(kNotInvolution);
     }
   }
 }
@@ -194,9 +261,7 @@ void Graph::recount_edges() {
     for (Port p = 0; p < degree(v); ++p)
       if (is_half_loop(v, p)) ++half_loops;
   // Every non-fixed-point half-edge pairs with exactly one other.
-  const std::size_t total =
-      cubic_ ? far_nodes_.size() : half_edges_.size();
-  num_edges_ = (total - half_loops) / 2 + half_loops;
+  num_edges_ = (half_edges_.size() - half_loops) / 2 + half_loops;
 }
 
 Graph Graph::relabeled(const std::vector<std::vector<Port>>& perms) const {
@@ -260,6 +325,14 @@ Graph from_rotation(std::vector<std::size_t> offsets,
                     std::vector<HalfEdge> half_edges) {
   Graph g;
   g.adopt_flat(std::move(offsets), std::move(half_edges));
+  return g;
+}
+
+Graph from_cubic_rotation(std::vector<NodeId> far_nodes,
+                          util::PackedArray far_ports,
+                          util::ThreadPool* pool) {
+  Graph g;
+  g.adopt_cubic(std::move(far_nodes), std::move(far_ports), pool);
   return g;
 }
 

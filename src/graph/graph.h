@@ -19,7 +19,9 @@
 // index 3*v + p selects a 4-byte far-node entry plus a 2-bit far-port
 // entry in a util::PackedArray, shrinking per-half-edge cost from
 // 8 B (+ 8 B/vertex of offsets) to 4.25 B so million-gadget reduced
-// graphs step at cache speed (see rotate3/is_cubic/far_node_data).  The
+// graphs step at cache speed (see rotate3/is_cubic/far_node_data).
+// Degree reduction writes that packed layout directly and hands it over
+// through from_cubic_rotation, so no 8-byte intermediate exists.  The
 // layout is an internal detail — the public API is unchanged and
 // observationally identical to the former vector<vector<HalfEdge>>
 // representation (pinned by property tests).
@@ -37,6 +39,10 @@
 
 #include "util/bitpack.h"
 #include "util/rng.h"
+
+namespace uesr::util {
+class ThreadPool;
+}
 
 namespace uesr::graph {
 
@@ -169,15 +175,20 @@ class Graph {
   friend Graph from_rotation(std::vector<std::vector<HalfEdge>> adj);
   friend Graph from_rotation(std::vector<std::size_t> offsets,
                              std::vector<HalfEdge> half_edges);
+  friend Graph from_cubic_rotation(std::vector<NodeId> far_nodes,
+                                   util::PackedArray far_ports,
+                                   util::ThreadPool* pool);
 
   /// Installs a nested rotation map, flattening it to CSR form.
   void adopt(std::vector<std::vector<HalfEdge>> adj);
-  /// Installs an already-flat rotation map (offsets.size() == n + 1).
+  /// Installs an already-flat rotation map (offsets.size() == n + 1); a
+  /// 3-regular one is repacked and installed through adopt_cubic.
   void adopt_flat(std::vector<std::size_t> offsets,
                   std::vector<HalfEdge> half_edges);
-  /// Derived-field maintenance after offsets_/half_edges_ change; detects
-  /// the cubic case and repacks storage into far_nodes_/far_ports_.
-  void finalize_shape();
+  /// Installs the packed cubic layout as is; one pass (chunked over
+  /// `pool`) validates it and counts the edges.
+  void adopt_cubic(std::vector<NodeId> far_nodes, util::PackedArray far_ports,
+                   util::ThreadPool* pool);
   void recount_edges();
 
   NodeId num_nodes_ = 0;
@@ -209,11 +220,25 @@ Graph from_rotation(std::vector<std::vector<HalfEdge>> adj);
 /// Flat-form overload: the rotation map already in CSR layout —
 /// half_edges[offsets[v] + p] is the far half-edge of (v, p).  Requires
 /// offsets.size() >= 1, offsets.front() == 0, offsets monotone and
-/// offsets.back() == half_edges.size().  Lets bulk producers (degree
-/// reduction, Reingold rotation maps) hand over storage without building
-/// n per-vertex vectors first.
+/// offsets.back() == half_edges.size().  Lets bulk producers (Reingold
+/// rotation maps, relabelling) hand over storage without building n
+/// per-vertex vectors first.  A 3-regular map is repacked into the cubic
+/// layout; degree reduction skips that step through from_cubic_rotation.
 Graph from_rotation(std::vector<std::size_t> offsets,
                     std::vector<HalfEdge> half_edges);
+
+/// Cubic form: the storage a 3-regular Graph keeps, handed over as is —
+/// far_nodes[3*v + p] is rotate(v, p).node and far_ports.get(3*v + p) its
+/// far port.  Requires far_nodes.size() to be a multiple of 3 and
+/// far_ports to hold as many 2-bit entries (std::invalid_argument
+/// otherwise).  One pass over the arrays makes validate()'s checks and
+/// counts the half-loops; it runs in chunks over `pool` when one is given
+/// and serially otherwise.  A violation throws validate()'s
+/// std::logic_error for the lowest offending half-edge, for any pool size.
+/// Empty arrays give the zero-node Graph.
+Graph from_cubic_rotation(std::vector<NodeId> far_nodes,
+                          util::PackedArray far_ports,
+                          util::ThreadPool* pool = nullptr);
 
 /// Human-readable one-line summary ("n=8 m=12 deg=[3,3]").
 std::string describe(const Graph& g);

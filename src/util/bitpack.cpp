@@ -1,6 +1,8 @@
 #include "util/bitpack.h"
 
+#include <algorithm>
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 
 namespace uesr::util {
@@ -36,6 +38,29 @@ PackedArray::PackedArray(int width, std::size_t size)
   // +1 spare word: get()'s unconditional-looking straddle load may touch
   // word+1 for the last entry.
   words_.assign((bits + 63) / 64 + 1, 0);
+}
+
+PackedArray PackedArray::repeating(int width, std::size_t size,
+                                   const std::vector<std::uint64_t>& period) {
+  if (period.empty())
+    throw std::invalid_argument("PackedArray::repeating: empty period");
+  PackedArray a(width, size);
+  const std::size_t cycle_bits =
+      std::lcm<std::size_t>(64, period.size() * static_cast<std::size_t>(width));
+  const std::size_t cycle_entries =
+      std::min(size, cycle_bits / static_cast<std::size_t>(width));
+  for (std::size_t i = 0; i < cycle_entries; ++i)
+    a.set(i, period[i % period.size()]);
+  const std::size_t bits = size * static_cast<std::size_t>(width);
+  const std::size_t used_words = (bits + 63) / 64;
+  const std::size_t cycle_words = cycle_bits / 64;
+  for (std::size_t w = cycle_words; w < used_words; ++w)
+    a.words_[w] = a.words_[w - cycle_words];
+  // A copied last word carries the cycle's bits past the final entry; the
+  // set() path leaves them zero.
+  if (bits % 64 != 0 && used_words > cycle_words)
+    a.words_[used_words - 1] &= (std::uint64_t{1} << (bits % 64)) - 1;
+  return a;
 }
 
 void PackedArray::set(std::size_t i, std::uint64_t value) {

@@ -47,6 +47,14 @@ class PackedArray {
   /// Zero-initialized array of `size` w-bit entries.
   PackedArray(int width, std::size_t size);
 
+  /// `size` w-bit entries repeating `period` (entry i holds
+  /// period[i % period.size()]), written a word at a time: the bit stream
+  /// repeats every lcm(64, period.size() * width) bits, so only the first
+  /// such cycle is set() entry by entry and the rest are word copies.
+  /// Equal (operator==) to set()ting every entry of a fresh array.
+  static PackedArray repeating(int width, std::size_t size,
+                               const std::vector<std::uint64_t>& period);
+
   std::size_t size() const { return size_; }
   int width() const { return width_; }
   bool empty() const { return size_ == 0; }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/route.h"
@@ -225,6 +226,17 @@ TEST(MultiWalk, WalkStateStaysLean) {
   for (int i = 0; i < 1000; ++i) arena.admit(0, 5);
   // 26 B per walk: 2x u32 + 2x u8 + 2x u64 (the §2.13 budget).
   EXPECT_LE(arena.walk_state_bytes() / arena.size(), 40u);
+}
+
+TEST(MultiWalk, CapacityStopsBelowTheSentinel) {
+  // A reduction that large cannot be built in a test; the constructor's
+  // check is pinned on synthetic node counts instead.
+  const std::uint64_t sentinel = ~graph::NodeId{0};
+  EXPECT_NO_THROW(MultiWalkArena::check_capacity(0));
+  EXPECT_NO_THROW(MultiWalkArena::check_capacity(sentinel - 1));
+  EXPECT_THROW(MultiWalkArena::check_capacity(sentinel), std::length_error);
+  EXPECT_THROW(MultiWalkArena::check_capacity(3 * sentinel),
+               std::length_error);
 }
 
 }  // namespace

@@ -486,5 +486,44 @@ TEST(GrantInvariance, RouteStreamDrainsInFullRounds) {
       << "last completion at tick " << last;
 }
 
+// A scalar lane that departs mid-walk keeps the counters of the walk it
+// made: hops, restarts and ARQ figures, not only its transmissions.  The
+// verdict fields stay false.
+TEST(TrafficEngine, DepartedScalarSessionsKeepTheirCounters) {
+  graph::NodeChurnScenario sc(graph::connected_gnp(14, 0.3, 5),
+                              /*p_leave=*/0.15, /*p_join=*/0.5, 11);
+  for (bool lossy : {false, true}) {
+    TrafficOptions opt;
+    opt.epoch_period = 32;
+    opt.max_epochs = 12;
+    if (lossy) {
+      opt.lossy = LossyTrafficConfig{};
+      opt.lossy->link.loss = 0.1;
+    }
+    TrafficEngine engine(sc, opt);
+    for (NodeId s = 0; s < 14; ++s)
+      for (NodeId t = 0; t < 14; ++t)
+        if (s != t)
+          engine.admit({TrafficKind::kRoute, s, t, /*admit_at=*/s,
+                        /*hybrid_ttl=*/0, /*depart_at=*/s + 3 + t % 5});
+    engine.run();
+    int departed_with_tx = 0;
+    for (const SessionReport& r : engine.reports()) {
+      if (!r.departed) continue;
+      EXPECT_FALSE(r.delivered);
+      EXPECT_FALSE(r.failure_certified);
+      EXPECT_FALSE(r.uncertified);
+      if (r.transmissions == 0) continue;
+      ++departed_with_tx;
+      EXPECT_GT(r.hops, 0u) << "lossy=" << lossy;
+      if (lossy)
+        EXPECT_GT(r.virtual_time, 0u);
+      else
+        EXPECT_EQ(r.hops, r.transmissions);
+    }
+    EXPECT_GT(departed_with_tx, 0) << "lossy=" << lossy;
+  }
+}
+
 }  // namespace
 }  // namespace uesr::core

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace uesr::util {
@@ -132,6 +136,24 @@ TEST(PackedArray, ByteSizeQuartersPortStorage) {
   // ~250 KB instead of 4 MB of u32s.
   PackedArray ports(2, 1'000'000);
   EXPECT_LE(ports.byte_size(), 250'024u);
+}
+
+TEST(PackedArray, RepeatingEqualsEntryWiseSet) {
+  // Sizes around the word-copy cycle (96 entries at width 2, period 3)
+  // and widths whose cycle spans many words or entries straddling words.
+  for (auto [width, period] :
+       {std::pair{2, std::vector<std::uint64_t>{1, 0, 2}},
+        std::pair{3, std::vector<std::uint64_t>{5, 1}},
+        std::pair{7, std::vector<std::uint64_t>{100, 3, 77, 0, 127}},
+        std::pair{1, std::vector<std::uint64_t>{1}}})
+    for (std::size_t size : {0, 1, 2, 31, 32, 95, 96, 97, 200, 1000, 4099}) {
+      PackedArray want(width, size);
+      for (std::size_t i = 0; i < size; ++i)
+        want.set(i, period[i % period.size()]);
+      EXPECT_TRUE(PackedArray::repeating(width, size, period) == want)
+          << "width " << width << " size " << size;
+    }
+  EXPECT_THROW(PackedArray::repeating(2, 4, {}), std::invalid_argument);
 }
 
 }  // namespace
