@@ -3,8 +3,10 @@
 // steps, rotation-map products, degree reduction, and probe round trips.
 // Index row: DESIGN.md §4 / EXPERIMENTS.md (E10) — expected shape lives there.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include "core/count_nodes.h"
+#include "core/lossy_route.h"
 #include "core/multi_walk.h"
 #include "core/route.h"
 #include "explore/degree_reduce.h"
@@ -228,6 +230,32 @@ void BM_DegreeReductionClusters(benchmark::State& state) {
 }
 BENCHMARK(BM_DegreeReductionClusters)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
+
+// The lossy-session layer on its own: one static LossyRouteSession on the
+// 16,384-cluster graph (393,216 gadgets), whose constructor builds the
+// session's private channel (net::EventSim) sized to the whole graph.
+// Times the constructor and reports the heap the session keeps
+// (heap_bytes: glibc's in-use arena plus mmapped chunks).
+void BM_LossyRouteSessionCtor(benchmark::State& state) {
+  static const graph::Graph g = graph::disjoint_copies(
+      graph::connected_gnp(8, 0.45, 211), 16384);
+  static const explore::ReducedGraph net = explore::reduce_to_cubic(g);
+  static const explore::RandomExplorationSequence seq(
+      1, 1 << 20, net.cubic.num_nodes());
+  const auto heap_in_use = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd);
+  };
+  double heap_bytes = 0.0;
+  for (auto _ : state) {
+    const double heap0 = heap_in_use();
+    core::LossyRouteSession session(net, seq, 0, 7);
+    heap_bytes = heap_in_use() - heap0;
+    benchmark::DoNotOptimize(session.finished());
+  }
+  state.counters["heap_bytes"] = heap_bytes;
+}
+BENCHMARK(BM_LossyRouteSessionCtor)->Unit(benchmark::kMillisecond);
 
 void BM_RotationProductQuery(benchmark::State& state) {
   using namespace uesr::reingold;

@@ -11,6 +11,7 @@
 // voids.  The UES router ignores geometry entirely and delivers anyway —
 // this is the concrete gap Theorem 1 closes.
 #include <iostream>
+#include <stdexcept>
 
 #include "baselines/geo.h"
 #include "core/api.h"
@@ -21,11 +22,19 @@
 
 int main(int argc, char** argv) {
   uesr::util::Cli cli(argc, argv);
-  const auto drones =
-      static_cast<uesr::graph::NodeId>(cli.get_int("drones", 70));
-  const double radius = cli.get_double("radius", 0.34);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 5));
-  const int pairs = static_cast<int>(cli.get_int("pairs", 15));
+  uesr::graph::NodeId drones = 0;
+  double radius = 0.0;
+  std::uint64_t seed = 0;
+  int pairs = 0;
+  try {
+    drones = static_cast<uesr::graph::NodeId>(cli.get_int("drones", 70));
+    radius = cli.get_double("radius", 0.34);
+    seed = static_cast<std::uint64_t>(cli.get_int("seed", 5));
+    pairs = static_cast<int>(cli.get_int("pairs", 15));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "drone_mesh_3d: " << e.what() << "\n";
+    return 2;
+  }
 
   auto mesh = uesr::graph::connected_unit_disk_3d(drones, radius, seed);
   std::cout << "3D mesh: " << uesr::graph::describe(mesh.graph) << "\n\n";

@@ -11,6 +11,7 @@
 // against the new snapshot — stateless nodes have nothing to forget — and
 // every verdict it returns is exact for the topology it completed on.
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "baselines/churn.h"
@@ -21,15 +22,27 @@
 
 int main(int argc, char** argv) {
   uesr::util::Cli cli(argc, argv);
-  const auto drones =
-      static_cast<uesr::graph::NodeId>(cli.get_int("drones", 40));
-  const int dim = static_cast<int>(cli.get_int("dim", 3));
-  const double radius = cli.get_double("radius", 0.36);
-  const double speed = cli.get_double("speed", 0.05);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 9));
-  const int pairs = static_cast<int>(cli.get_int("pairs", 12));
-  const auto period = static_cast<std::uint64_t>(cli.get_int("period", 48));
-  const auto epochs = static_cast<std::uint64_t>(cli.get_int("epochs", 24));
+  uesr::graph::NodeId drones = 0;
+  int dim = 0;
+  double radius = 0.0;
+  double speed = 0.0;
+  std::uint64_t seed = 0;
+  int pairs = 0;
+  std::uint64_t period = 0;
+  std::uint64_t epochs = 0;
+  try {
+    drones = static_cast<uesr::graph::NodeId>(cli.get_int("drones", 40));
+    dim = static_cast<int>(cli.get_int("dim", 3));
+    radius = cli.get_double("radius", 0.36);
+    speed = cli.get_double("speed", 0.05);
+    seed = static_cast<std::uint64_t>(cli.get_int("seed", 9));
+    pairs = static_cast<int>(cli.get_int("pairs", 12));
+    period = static_cast<std::uint64_t>(cli.get_int("period", 48));
+    epochs = static_cast<std::uint64_t>(cli.get_int("epochs", 24));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "mobile_swarm: " << e.what() << "\n";
+    return 2;
+  }
 
   uesr::graph::WaypointScenario swarm(drones, dim, radius, speed, seed);
   std::cout << "mobile swarm: " << swarm.name() << ", " << drones

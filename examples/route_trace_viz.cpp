@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/route.h"
 #include "explore/degree_reduce.h"
@@ -18,9 +19,17 @@
 
 int main(int argc, char** argv) {
   uesr::util::Cli cli(argc, argv);
-  const auto n = static_cast<uesr::graph::NodeId>(cli.get_int("nodes", 12));
-  const double p = cli.get_double("p", 0.25);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 4));
+  uesr::graph::NodeId n = 0;
+  double p = 0.0;
+  std::uint64_t seed = 0;
+  try {
+    n = static_cast<uesr::graph::NodeId>(cli.get_int("nodes", 12));
+    p = cli.get_double("p", 0.25);
+    seed = static_cast<std::uint64_t>(cli.get_int("seed", 4));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "route_trace_viz: " << e.what() << "\n";
+    return 2;
+  }
   const std::string dot_path = cli.get("dot", "route.dot");
 
   uesr::graph::Graph g = uesr::graph::connected_gnp(n, p, seed);

@@ -9,6 +9,7 @@
 //   * the UES router (needs NOTHING: no positions, no tables, no state),
 // and runs a sink broadcast with the same walker.
 #include <iostream>
+#include <stdexcept>
 
 #include "baselines/geo.h"
 #include "core/api.h"
@@ -20,10 +21,19 @@
 
 int main(int argc, char** argv) {
   uesr::util::Cli cli(argc, argv);
-  const auto motes = static_cast<uesr::graph::NodeId>(cli.get_int("motes", 80));
-  const double radius = cli.get_double("radius", 0.22);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
-  const int pairs = static_cast<int>(cli.get_int("pairs", 12));
+  uesr::graph::NodeId motes = 0;
+  double radius = 0.0;
+  std::uint64_t seed = 0;
+  int pairs = 0;
+  try {
+    motes = static_cast<uesr::graph::NodeId>(cli.get_int("motes", 80));
+    radius = cli.get_double("radius", 0.22);
+    seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
+    pairs = static_cast<int>(cli.get_int("pairs", 12));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "sensor_grid: " << e.what() << "\n";
+    return 2;
+  }
 
   auto field = uesr::graph::connected_unit_disk_2d(motes, radius, seed);
   auto planar = uesr::graph::gabriel_subgraph(field);

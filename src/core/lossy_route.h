@@ -99,7 +99,7 @@ struct ArqStats {
 };
 
 struct LossyRouteOptions {
-  net::LinkModel link{};            ///< default channel model of every link
+  net::LinkModel link{};            ///< channel model of every link
   net::ReliableOptions reliable{};  ///< stop-and-wait budget / timeouts
   net::WindowOptions window{};      ///< selective-repeat window / budgets
   ArqKind arq = ArqKind::kStopAndWait;
@@ -242,8 +242,9 @@ class LossyRouteSession {
 
   /// The configured ARQ.
   ArqKind arq() const { return options_.arq; }
-  /// The current epoch's ARQ, for per-link model overrides and one-sided
-  /// flips BEFORE stepping.  Absent when s == t and on perfect links.
+  /// The current epoch's ARQ, for one-sided flips and crash faults on its
+  /// simulator BEFORE stepping (every link shares the session's one
+  /// LinkModel).  Absent when s == t and on perfect links.
   net::WindowTransport& transport() { return *arq_; }
   const net::WindowTransport& transport() const { return *arq_; }
   net::EventSim& sim() { return arq_->sim(); }

@@ -105,7 +105,8 @@ struct SessionReport {
   /// Clock tick of completion.  Perfect-link lanes complete exactly at
   /// admitted_at + transmissions; lossy lanes may overshoot the round's
   /// slot grant (one reliable hop is atomic and can burn many wire
-  /// frames), so their completion tick is airtime-approximate.
+  /// frames), so their completion tick is airtime-approximate and moves
+  /// with TrafficOptions::batch — the one report field that does.
   std::uint64_t completed_at = 0;
   /// Broadcast only: distinct original nodes the payload visited.
   std::uint64_t distinct_visited = 0;
@@ -161,12 +162,15 @@ struct TrafficOptions {
   std::uint64_t walker_seed = 0x7a11;
   /// Required to admit kHybrid sessions (admit() throws otherwise).
   WalkerFactory hybrid_walker;
-  /// Clock ticks per round.  Purely a scheduling granularity: reports
-  /// never depend on it.  Arena walks (static perfect-link routes) run
-  /// full rounds on per-walk grants — one that arrives or departs inside
-  /// a round steps only its own ticks of it — so only the scenario epoch
-  /// and the arrivals and departures of scalar lanes (lossy, dynamic,
-  /// broadcast, hybrid) cut a round short.
+  /// Clock ticks per round, a scheduling granularity.  Static-mode
+  /// reports of perfect-link, broadcast and hybrid sessions never depend
+  /// on it; a static lossy lane's report depends on it only through
+  /// completed_at, which lands where the round holding its last hop ends
+  /// (both pinned by the GrantInvariance tests).  Arena walks (static
+  /// perfect-link routes) run full rounds on per-walk grants — one that
+  /// arrives or departs inside a round steps only its own ticks of it —
+  /// so only the scenario epoch and the arrivals and departures of scalar
+  /// lanes (lossy, dynamic, broadcast, hybrid) cut a round short.
   std::uint64_t batch = 64;
   /// Worker lanes (0 = UESR_THREADS env, else hardware).  Data cells are
   /// bit-identical for any value.

@@ -138,6 +138,20 @@ class Graph {
   const NodeId* far_node_data() const { return far_nodes_.data(); }
   const util::PackedArray& far_ports() const { return far_ports_; }
 
+  /// Dense number of the half-edge (v, p) in [0, num_half_edges()), in
+  /// (vertex, port) order: 3*v + p on a cubic graph, the CSR offset
+  /// offsets_[v] + p otherwise — the same number either way, since a cubic
+  /// graph's offsets would be 3*v.  Per-half-edge side tables (EventSim's
+  /// link flags and channel-stream keys) index by it instead of keeping a
+  /// second copy of the offsets.  Precondition: v < n, p < degree(v).
+  std::size_t half_edge_index(NodeId v, Port p) const {
+    return cubic_ ? 3 * static_cast<std::size_t>(v) + p : offsets_[v] + p;
+  }
+  /// Sum of the degrees: twice num_edges() minus the half-loops.
+  std::size_t num_half_edges() const {
+    return cubic_ ? far_nodes_.size() : half_edges_.size();
+  }
+
   /// The vertex reached when leaving v through port p.
   NodeId neighbor(NodeId v, Port p) const { return rotate(v, p).node; }
 

@@ -51,8 +51,9 @@ struct ChaosConfig {
 
   /// Per-slot P(a global corruption burst opens).  In [0, 1].
   double corrupt_burst_rate = 0.0;
-  /// Corruption probability during a burst (kGlobalCorrupt level); bursts
-  /// close back to 0.  In [0, 1].
+  /// Corruption probability during a burst: a kGlobalCorrupt action sets
+  /// the `corrupt` level of the simulator's one LinkModel, so a burst
+  /// damages every link alike; bursts close back to 0.  In [0, 1].
   double corrupt_level = 0.5;
   SimTime burst_min = 16;   ///< burst length bounds (inclusive)
   SimTime burst_max = 128;

@@ -12,9 +12,8 @@ RtoEstimator::RtoEstimator(RtoOptions options) : options_(options) {
     throw std::invalid_argument("RtoEstimator: min rto must be > 0");
   if (options_.max < options_.initial || options_.max < options_.min)
     throw std::invalid_argument("RtoEstimator: max < initial or max < min");
-  // Fixed mode reports `initial` verbatim (callers own their doubling);
-  // adaptive mode keeps the working RTO inside [min, max] from the start.
-  rto_ = options_.adaptive ? clamp(options_.initial) : options_.initial;
+  // The working RTO stays inside [min, max] from the start.
+  rto_ = clamp(options_.initial);
 }
 
 SimTime RtoEstimator::clamp(SimTime t) const {
@@ -22,7 +21,6 @@ SimTime RtoEstimator::clamp(SimTime t) const {
 }
 
 void RtoEstimator::sample(SimTime rtt) {
-  if (!options_.adaptive) return;
   if (samples_ == 0) {
     // First measurement: srtt = R, rttvar = R / 2 (the RFC 6298 init).
     srtt8_ = rtt << 3;
@@ -46,7 +44,6 @@ void RtoEstimator::sample(SimTime rtt) {
 }
 
 void RtoEstimator::backoff() {
-  if (!options_.adaptive) return;
   rto_ = std::min(rto_ * 2, options_.max);
 }
 

@@ -25,10 +25,10 @@
 //     re-derives rto from the estimators — exactly Karn's "reuse the
 //     backed-off timer until an unambiguous sample" discipline.
 //
-// With adaptive = false the estimator degrades to the PR 6 behaviour:
-// sample() is a no-op and rto() stays pinned at `initial` (callers then
-// apply their own per-transfer doubling), so existing fixed-RTO tests and
-// benches replay unchanged.
+// The estimator is always adaptive, and one instance serves a whole
+// transport: every ARQ configuration arms it (net/window.h).  A caller that
+// wants a timeout above some worst-case RTT raises `min`, the floor, rather
+// than pinning the timer.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,7 @@ namespace uesr::net {
 
 struct RtoOptions {
   SimTime initial = 8;  ///< RTO before the first sample; must be > 0
-  SimTime min = 4;      ///< adaptive floor (keeps rto > any 1-tick jitter)
+  SimTime min = 4;      ///< floor (keeps rto > any 1-tick jitter); > 0
   SimTime max = 1024;   ///< backoff/estimate ceiling; must be >= initial
   /// Timer granularity G: the lower bound on the variance term, so a
   /// perfectly constant RTT still leaves one tick of slack between the
@@ -47,7 +47,6 @@ struct RtoOptions {
   /// order, so a timer armed exactly at the ack's arrival time would fire
   /// first — G = 2 keeps adaptation spuriousness-free on constant links).
   SimTime granularity = 2;
-  bool adaptive = true;  ///< false: rto() == initial forever (PR 6 mode)
 };
 
 class RtoEstimator {
@@ -62,13 +61,11 @@ class RtoEstimator {
 
   /// Feed one unambiguous RTT measurement (Karn: the caller guarantees the
   /// acked frame was never retransmitted).  Recomputes rto from the
-  /// estimators, ending any backoff.  No-op when !adaptive.
+  /// estimators, ending any backoff.
   void sample(SimTime rtt);
 
   /// Timeout fired: double the working RTO (clamped to max).  The doubled
-  /// value persists across transfers until the next sample().  Applied in
-  /// adaptive mode only — fixed-RTO callers keep their own local doubling
-  /// so PR 6 schedules replay bit-identically.
+  /// value persists across transfers until the next sample().
   void backoff();
 
   const RtoOptions& options() const { return options_; }

@@ -44,15 +44,10 @@ void damage(SimEvent& ev, util::Pcg32& rng) {
 
 }  // namespace
 
-EventSim::EventSim(const graph::Graph& g, std::uint64_t seed,
-                   LinkModel defaults)
-    : graph_(&g), seed_(seed), default_model_(defaults) {
-  validate_model(defaults, "EventSim");
-  offsets_.resize(g.num_nodes() + 1, 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    offsets_[v + 1] = offsets_[v] + g.degree(v);
-  models_.resize(offsets_.back());
-  down_.resize(offsets_.back(), false);
+EventSim::EventSim(const graph::Graph& g, std::uint64_t seed, LinkModel model)
+    : graph_(&g), seed_(seed), model_(model) {
+  validate_model(model, "EventSim");
+  down_.resize(g.num_half_edges(), false);
   crashed_.resize(g.num_nodes(), false);
   crash_epochs_.resize(g.num_nodes(), 0);
 }
@@ -67,18 +62,6 @@ void EventSim::check_half_edge(NodeId u, Port p, const char* who) const {
 void EventSim::check_node(NodeId v, const char* who) const {
   if (v >= graph_->num_nodes())
     throw std::invalid_argument(std::string(who) + ": node out of range");
-}
-
-void EventSim::set_link_model(NodeId u, Port p, const LinkModel& m) {
-  check_half_edge(u, p, "EventSim::set_link_model");
-  validate_model(m, "EventSim::set_link_model");
-  models_[link_id(u, p)] = m;
-}
-
-const LinkModel& EventSim::link_model(NodeId u, Port p) const {
-  check_half_edge(u, p, "EventSim::link_model");
-  const auto& o = models_[link_id(u, p)];
-  return o ? *o : default_model_;
 }
 
 void EventSim::set_link_up(NodeId u, Port p, bool up) {
@@ -144,14 +127,13 @@ void EventSim::send(NodeId from, Port out_port, std::uint64_t frame_id) {
     stamp("down");
     return;
   }
-  const LinkModel& m = models_[link] ? *models_[link] : default_model_;
   // Per-(link, event) stream: the schedule is a pure function of the seed
   // and the call sequence (ROADMAP's deterministic-replay contract).  Draw
   // order is fixed: loss, latency, dup, dup-latency, THEN the corruption
   // draws — so at corrupt = 0 the stream is consumed exactly as pre-fault
   // replays did (P11).
   util::Pcg32 rng(util::counter_hash(util::counter_hash(seed_, link), event));
-  if (m.loss > 0.0 && rng.next_double() < m.loss) {
+  if (model_.loss > 0.0 && rng.next_double() < model_.loss) {
     ++frames_lost_;
     stamp("lost");
     return;
@@ -164,20 +146,20 @@ void EventSim::send(NodeId from, Port out_port, std::uint64_t frame_id) {
   ev.from = from;
   ev.from_port = out_port;
   ev.frame_id = frame_id;
-  const SimTime latency = draw_latency(m, rng);
+  const SimTime latency = draw_latency(model_, rng);
   SimEvent dup_ev;
   SimTime dup_latency = 0;
-  const bool spawn_dup = m.dup > 0.0 && rng.next_double() < m.dup;
+  const bool spawn_dup = model_.dup > 0.0 && rng.next_double() < model_.dup;
   if (spawn_dup) {
     dup_ev = ev;
     dup_ev.duplicate = true;
-    dup_latency = draw_latency(m, rng);
+    dup_latency = draw_latency(model_, rng);
   }
-  if (m.corrupt > 0.0 && rng.next_double() < m.corrupt) {
+  if (model_.corrupt > 0.0 && rng.next_double() < model_.corrupt) {
     ++frames_corrupted_;
     damage(ev, rng);
   }
-  if (spawn_dup && m.corrupt > 0.0 && rng.next_double() < m.corrupt) {
+  if (spawn_dup && model_.corrupt > 0.0 && rng.next_double() < model_.corrupt) {
     ++frames_corrupted_;
     damage(dup_ev, rng);
   }
@@ -257,9 +239,7 @@ void EventSim::apply_fault(const FaultAction& f) {
       down_[link_id(f.node, f.port)] = false;
       break;
     case FaultAction::Kind::kGlobalCorrupt:
-      default_model_.corrupt = f.corrupt;
-      for (auto& o : models_)
-        if (o) o->corrupt = f.corrupt;
+      model_.corrupt = f.corrupt;
       break;
   }
   if (trace_limit_ != 0)

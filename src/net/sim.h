@@ -16,8 +16,13 @@
 //     replay that re-issues the same sends re-draws the same losses,
 //     latencies and duplicates.
 //
-// Channel model, per DIRECTED link (departure half-edge (u, out_port); the
-// reverse direction (v, in_port) is an independent link):
+// Channel model: ONE LinkModel per simulator, applied to every DIRECTED
+// link (departure half-edge (u, out_port); the reverse direction
+// (v, in_port) is an independent link with its own draws and up/down
+// flag) — the one-loss-probability-per-transmission channel of the
+// comparison baselines.  Per-link state is just the down flag; the links
+// are numbered by graph::Graph::half_edge_index, so the simulator keeps
+// no copy of the graph's layout:
 //   * latency uniform in [latency_min, latency_max] time units;
 //   * loss: each frame independently dropped with probability `loss`;
 //   * duplication: a surviving frame spawns a second, independently-delayed
@@ -65,7 +70,7 @@ namespace uesr::net {
 /// Virtual time: abstract units; only ordering and sums matter.
 using SimTime = std::uint64_t;
 
-/// Channel model of one directed link (and the construction-time default).
+/// The channel model every directed link of an EventSim shares.
 struct LinkModel {
   SimTime latency_min = 1;  ///< inclusive lower latency bound (>= 0)
   SimTime latency_max = 1;  ///< inclusive upper bound (>= latency_min)
@@ -83,7 +88,7 @@ struct FaultAction {
     kRecover,        ///< node comes back; bumps its crash epoch (amnesia)
     kLinkDown,       ///< one-sided link kill, as set_link_up(u, p, false)
     kLinkUp,         ///< one-sided link heal
-    kGlobalCorrupt,  ///< set `corrupt` of the default AND every override
+    kGlobalCorrupt,  ///< set the channel model's `corrupt` level
   };
   Kind kind = Kind::kCrash;
   graph::NodeId node = 0;  ///< kCrash / kRecover target
@@ -113,18 +118,14 @@ struct SimEvent {
 
 class EventSim {
  public:
-  /// The graph must outlive the simulator.  `defaults` applies to every
-  /// directed link until overridden; throws on an invalid model.
-  EventSim(const graph::Graph& g, std::uint64_t seed, LinkModel defaults = {});
+  /// The graph must outlive the simulator.  `model` applies to every
+  /// directed link; throws on an invalid model.
+  EventSim(const graph::Graph& g, std::uint64_t seed, LinkModel model = {});
 
   const graph::Graph& graph() const { return *graph_; }
   std::uint64_t seed() const { return seed_; }
   /// Virtual clock: the time of the last popped event.
   SimTime now() const { return now_; }
-
-  /// Overrides the channel model of the directed link departing (u, p).
-  void set_link_model(graph::NodeId u, graph::Port p, const LinkModel& m);
-  const LinkModel& link_model(graph::NodeId u, graph::Port p) const;
 
   /// One-sided connectivity flip: disables/enables ONLY the direction
   /// departing (u, p).  In-flight frames of a downed direction die
@@ -147,9 +148,9 @@ class EventSim {
   void schedule_fault(SimTime delay, const FaultAction& action);
 
   /// Dense index of the directed link departing (u, p) in
-  /// [0, num_links()) — the key transports use for per-link RTO state.
+  /// [0, graph().num_half_edges()) — graph().half_edge_index(u, p), the
+  /// key of the link's per-(link, event) channel stream.
   std::uint64_t link_index(graph::NodeId u, graph::Port p) const;
-  std::uint64_t num_links() const { return offsets_.back(); }
 
   /// Puts one frame on the directed link (from, out_port) at now().
   /// Counts one transmission unconditionally — lost frames were really
@@ -213,7 +214,7 @@ class EventSim {
   };
 
   std::uint64_t link_id(graph::NodeId u, graph::Port p) const {
-    return offsets_[u] + p;
+    return graph_->half_edge_index(u, p);
   }
   void check_half_edge(graph::NodeId u, graph::Port p, const char* who) const;
   void check_node(graph::NodeId v, const char* who) const;
@@ -223,11 +224,8 @@ class EventSim {
 
   const graph::Graph* graph_;
   std::uint64_t seed_;
-  LinkModel default_model_;
-  std::vector<std::size_t> offsets_;  ///< per-node half-edge offsets (n + 1)
-  /// Sparse per-link overrides / down flags, indexed by link id.
-  std::vector<std::optional<LinkModel>> models_;
-  std::vector<bool> down_;
+  LinkModel model_;
+  std::vector<bool> down_;  ///< per-link down flags, indexed by link id
   std::vector<bool> crashed_;                ///< per-node crash flags
   std::vector<std::uint64_t> crash_epochs_;  ///< per-node recovery counts
 

@@ -46,8 +46,6 @@ WindowOptions stop_and_wait(const ReliableOptions& o) {
   w.rto.initial = o.rto;
   w.rto.min = o.rto_min;
   w.rto.max = o.rto_max;
-  w.rto.adaptive = o.adaptive_rto;
-  w.per_link_rto = o.per_link_rto;
   return w;
 }
 
@@ -64,40 +62,15 @@ WindowTransport::WindowTransport(const graph::Graph& g, std::uint64_t seed,
     throw std::invalid_argument("WindowTransport: max_retries too large");
 }
 
-RtoEstimator& WindowTransport::working_estimator(std::uint64_t link) {
-  if (!options_.rto.adaptive || !options_.per_link_rto) return estimator_;
-  if (link_estimators_.empty())
-    link_estimators_.assign(sim_.num_links(), RtoEstimator(options_.rto));
-  return link_estimators_[link];
-}
-
-const RtoEstimator& WindowTransport::link_estimator(graph::NodeId u,
-                                                    graph::Port p) const {
-  const std::uint64_t link = sim_.link_index(u, p);
-  if (link_estimators_.empty()) return estimator_;  // never engaged
-  return link_estimators_[link];
-}
-
-std::uint64_t WindowTransport::total_rtt_samples() const {
-  std::uint64_t total = estimator_.samples();
-  for (const RtoEstimator& e : link_estimators_) total += e.samples();
-  return total;
-}
-
 WindowOutcome WindowTransport::send(graph::NodeId from,
                                     graph::Port out_port) {
   const std::uint64_t k = transfers_++;
   const std::uint32_t F = options_.frames_per_message;
   WindowOutcome out;
   const SimTime start = sim_.now();
-  // One send crosses one directed link; the working estimator is the
-  // transport-wide one, or this link's own under per_link_rto.
-  RtoEstimator& est = working_estimator(sim_.link_index(from, out_port));
 
-  // Per-frame state, sender and receiver side.  Fixed mode backs each
-  // frame's timeout off locally (the fixed-RTO schedule, per frame);
-  // adaptive mode arms the shared estimator.
-  frame_state_.assign(F, Frame{0, options_.rto.initial, 0, false, false});
+  // Per-frame state, sender and receiver side.
+  frame_state_.assign(F, Frame{});
   Frame* const fr = frame_state_.data();
   std::uint32_t base = 0;      // lowest unacked frame (window left edge)
   std::uint32_t next_new = 0;  // next never-launched frame
@@ -120,8 +93,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     fr[f].sent_at = sim_.now();
     sim_.send(from, out_port, data_id(k, f));
     ++out.data_copies;
-    const SimTime rto = options_.rto.adaptive ? est.rto() : fr[f].fixed_rto;
-    sim_.set_timer(rto, timer_id(k, f, fr[f].attempt));
+    sim_.set_timer(estimator_.rto(), timer_id(k, f, fr[f].attempt));
   };
   const auto fill = [&] {
     while (next_new < F && inflight < options_.window) {
@@ -137,8 +109,8 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     sim_.cancel_timer(timer_id(k, f, fr[f].attempt));  // lazy heap cleanup
     // Karn's rule: only a frame that was never retransmitted yields an
     // unambiguous RTT (its ack cannot be confirming an earlier copy).
-    if (clean_sample && fr[f].attempt == 0 && options_.rto.adaptive) {
-      est.sample(sim_.now() - fr[f].sent_at);
+    if (clean_sample && fr[f].attempt == 0) {
+      estimator_.sample(sim_.now() - fr[f].sent_at);
       ++out.rtt_samples;
     }
   };
@@ -167,16 +139,9 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
       // the shared estimator (TCP's single-timer semantics).  A burst that
       // loses k frames must cost one doubling per RTO period, not 2^k —
       // per-frame doubling would explode the timeout and erase the
-      // pipeline's advantage.  Fixed mode keeps the per-frame PR 6
-      // schedule.
-      if (options_.rto.adaptive) {
-        if (f == base) {
-          est.backoff();
-          ++out.backoffs;
-          ++total_backoffs_;
-        }
-      } else {
-        fr[f].fixed_rto = std::min(fr[f].fixed_rto * 2, options_.rto.max);
+      // pipeline's advantage.
+      if (f == base) {
+        estimator_.backoff();
         ++out.backoffs;
         ++total_backoffs_;
       }
@@ -232,7 +197,7 @@ WindowOutcome WindowTransport::send(graph::NodeId from,
     }
     fill();
   }
-  out.srtt = est.srtt();
+  out.srtt = estimator_.srtt();
   out.elapsed = sim_.now() - start;
   return out;
 }

@@ -39,11 +39,12 @@
 // Transport::send's return means, and a failed one aborts the session into
 // the "uncertified after budget" verdict (DESIGN.md §2.10).
 //
-// Timeouts come from the shared Jacobson/Karn estimator (net/rto.h):
-// never-retransmitted frames feed it unambiguous RTT samples, timeouts
-// back it off, and the backed-off value persists until the next clean
-// sample.  Every schedule remains a pure function of (graph, seed, call
-// sequence) — the adaptation consumes no randomness of its own — so
+// Timeouts come from ONE Jacobson/Karn estimator per transport
+// (net/rto.h), shared by every link it crosses: never-retransmitted frames
+// feed it unambiguous RTT samples, timeouts back it off, and the
+// backed-off value persists until the next clean sample.  Every schedule
+// remains a pure function of (graph, seed, call sequence) — the
+// adaptation consumes no randomness of its own — so
 // enable_trace() replay stays byte-identical and reports thread-count
 // invariant (pinned by the window replay-regression test).  EventSim keys
 // every channel draw by (seed, link, send counter), never by frame id, so
@@ -92,11 +93,6 @@ struct WindowOptions {
   std::uint32_t max_retries = 8;
   /// Timeout estimation (shared Jacobson/Karn state across transfers).
   RtoOptions rto{};
-  /// Adaptive-RTO granularity: false keeps ONE estimator for the whole
-  /// transport; true keeps one estimator PER DIRECTED LINK, so transfers
-  /// crossing a slow edge never inflate the timeout of a fast one (the
-  /// TrafficEngine lossy mode engages it).  Ignored when !rto.adaptive.
-  bool per_link_rto = false;
 };
 
 /// The stop-and-wait budget and timeouts, in the shape the baselines,
@@ -107,25 +103,18 @@ struct ReliableOptions {
   /// max_retries + 1 DATA copies per transfer.  Must be < 2^16 - 1.
   std::uint32_t max_retries = 8;
   /// Initial retransmission timeout (virtual time units); must be > 0.
-  /// With adaptive_rto this only seeds the estimator — after the first
-  /// clean sample the timeout tracks the measured RTT (net/rto.h).
+  /// It only seeds the estimator — after the first clean sample the
+  /// timeout tracks the measured RTT (net/rto.h).
   SimTime rto = 8;
   /// Backoff ceiling: the timeout doubles per retry, clamped here.
   SimTime rto_max = 1024;
-  /// Adaptive floor (adaptive mode only); must be > 0.
+  /// Floor of the adaptive timeout; must be > 0.
   SimTime rto_min = 4;
-  /// Jacobson/Karn adaptation (net/rto.h).  false restores the fixed-RTO
-  /// schedule: every transfer starts at `rto` and doubles locally.
-  bool adaptive_rto = true;
-  /// One estimator per directed link instead of one per transport (see
-  /// WindowOptions::per_link_rto).  Ignored when !adaptive_rto.
-  bool per_link_rto = false;
 };
 
 /// Stop-and-wait as a WindowTransport configuration: window 1, one frame
 /// per message, `rto` -> rto.initial, `rto_min` -> rto.min, `rto_max` ->
-/// rto.max, `adaptive_rto` -> rto.adaptive; the retry budget and per-link
-/// RTO carry over as they are.
+/// rto.max; the retry budget carries over as it is.
 WindowOptions stop_and_wait(const ReliableOptions& o);
 
 /// What one sliding-window message transfer accomplished.
@@ -169,14 +158,12 @@ class WindowTransport {
   // --- transport-lifetime retransmission aggregates ------------------------
   std::uint64_t total_retransmits() const { return total_retransmits_; }
   std::uint64_t total_backoffs() const { return total_backoffs_; }
-  std::uint64_t total_rtt_samples() const;
+  /// The transport's one estimator (its samples() are the lifetime total).
   const RtoEstimator& estimator() const { return estimator_; }
-  /// Per-link mode: the estimator of the directed link departing (u, p).
-  const RtoEstimator& link_estimator(graph::NodeId u, graph::Port p) const;
 
   const WindowOptions& options() const { return options_; }
 
-  /// The underlying simulator, for per-link overrides and one-sided flips.
+  /// The underlying simulator, for one-sided flips and crash faults.
   EventSim& sim() { return sim_; }
   const EventSim& sim() const { return sim_; }
 
@@ -185,21 +172,15 @@ class WindowTransport {
   /// side.  Reset, not reallocated, by every send().
   struct Frame {
     SimTime sent_at = 0;     ///< launch time of the latest copy
-    SimTime fixed_rto = 0;   ///< fixed-RTO mode: this frame's timeout
     std::uint32_t attempt = 0;  ///< retransmissions so far (timer tag)
     bool acked = false;      ///< sender: retired from the window
     bool received = false;   ///< receiver: buffered (volatile above cum)
   };
 
-  RtoEstimator& working_estimator(std::uint64_t link);
-
   EventSim sim_;
   WindowOptions options_;
   std::vector<Frame> frame_state_;
   RtoEstimator estimator_;
-  /// Per-link estimators (per_link_rto only), indexed by EventSim
-  /// link_index; lazily grown to num_links() on first use.
-  std::vector<RtoEstimator> link_estimators_;
   std::uint64_t transfers_ = 0;
   std::uint64_t total_retransmits_ = 0;
   std::uint64_t total_backoffs_ = 0;

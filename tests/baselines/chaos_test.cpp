@@ -236,29 +236,5 @@ TEST(ChaosTraffic, DynamicEngineUnderChaosStaysSoundAndTerminates) {
             cell.sessions);
 }
 
-TEST(ChaosTraffic, PerLinkRtoRunsThroughTheEngineThreadInvariantly) {
-  const Graph g = graph::connected_gnp(10, 0.35, 31);
-  const Workload w = poisson_workload(10, 32, 1.5, 77);
-  for (core::ArqKind arq :
-       {core::ArqKind::kStopAndWait, core::ArqKind::kSelectiveRepeat}) {
-    core::LossyTrafficConfig cfg;
-    cfg.link.loss = 0.1;
-    cfg.link.latency_max = 6;
-    cfg.arq = arq;
-    cfg.reliable.max_retries = 8;
-    cfg.reliable.per_link_rto = true;  // adaptive_rto defaults true
-    cfg.window.max_retries = 8;
-    cfg.window.frames_per_message = 2;
-    cfg.window.per_link_rto = true;
-    cfg.chaos = traffic_chaos();
-    const LossyTrafficCell base = lossy_traffic_experiment(g, w, cfg, 57, 1);
-    EXPECT_EQ(base.unsound, 0);
-    EXPECT_GT(base.delivered, 0);
-    for (unsigned t : {4u, 8u})
-      EXPECT_EQ(base, lossy_traffic_experiment(g, w, cfg, 57, t))
-          << "threads=" << t;
-  }
-}
-
 }  // namespace
 }  // namespace uesr::baselines

@@ -486,6 +486,57 @@ TEST(GrantInvariance, RouteStreamDrainsInFullRounds) {
       << "last completion at tick " << last;
 }
 
+// A lossy lane's hop is atomic: one reliable transfer may burn many wire
+// frames past the round's slot grant, so where rounds end moves its
+// completion tick (SessionReport::completed_at is airtime-approximate).
+// Everything else a lossy-static session reports — verdict, wire frames,
+// hops, ARQ figures, virtual time — comes from its private channel and
+// must match at any batch and thread count.
+TEST(GrantInvariance, LossyStaticReportsIdenticalButCompletionTick) {
+  const graph::Graph g = graph::connected_gnp(12, 0.3, 5);
+  const baselines::Workload w = baselines::poisson_workload(12, 96, 2.0, 43);
+  std::vector<LossyTrafficConfig> channels(3);
+  channels[0].link.loss = 0.1;
+  channels[0].link.latency_max = 4;
+  channels[1].arq = ArqKind::kSelectiveRepeat;
+  channels[1].link.loss = 0.05;
+  channels[1].link.dup = 0.1;
+  channels[1].window.frames_per_message = 2;
+  channels[2].link.loss = 0.3;
+  channels[2].reliable.max_retries = 2;
+  channels[2].one_sided_down = 0.02;
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    std::vector<SessionReport> base;
+    for (std::uint64_t batch : {1u, 7u, 64u, 4096u})
+      for (unsigned threads : {1u, 3u}) {
+        TrafficOptions opt;
+        opt.lossy = channels[c];
+        opt.batch = batch;
+        opt.threads = threads;
+        TrafficEngine engine(g, opt);
+        engine.admit_all(w.sessions);
+        engine.run();
+        std::vector<SessionReport> reports = engine.reports();
+        for (SessionReport& r : reports) {
+          ASSERT_TRUE(r.finished);
+          r.completed_at = 0;
+        }
+        if (base.empty()) {
+          base = reports;
+          int delivered = 0;
+          for (const SessionReport& r : base) delivered += r.delivered;
+          EXPECT_GT(delivered, 0) << "channel " << c;
+          continue;
+        }
+        ASSERT_EQ(reports.size(), base.size());
+        for (std::size_t i = 0; i < base.size(); ++i)
+          ASSERT_TRUE(reports[i] == base[i])
+              << "channel " << c << " batch=" << batch
+              << " threads=" << threads << " session " << i;
+      }
+  }
+}
+
 // A scalar lane that departs mid-walk keeps the counters of the walk it
 // made: hops, restarts and ARQ figures, not only its transmissions.  The
 // verdict fields stay false.

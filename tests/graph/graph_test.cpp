@@ -241,6 +241,25 @@ TEST(GraphCsr, CubicPackedStorageMatchesRotate) {
   EXPECT_EQ(g, again);
 }
 
+// Per-half-edge side tables (EventSim's down flags and channel streams) key
+// by half_edge_index, so it must be the running degree sum on either layout.
+TEST(GraphCsr, HalfEdgeIndexIsTheRunningDegreeSum) {
+  const std::vector<Graph> zoo = {
+      random_regular(64, 3, 77),                       // packed cubic
+      gnp(12, 0.3, 5),                                 // CSR
+      random_cubic_multigraph(10, 8),                  // loops, multi-edges
+      from_edges(5, {{0, 0}, {1, 2}, {2, 1}, {3, 4}}),  // isolated node
+      Graph(),
+  };
+  for (const Graph& g : zoo) {
+    std::size_t running = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      for (Port p = 0; p < g.degree(v); ++p)
+        EXPECT_EQ(g.half_edge_index(v, p), running++) << describe(g);
+    EXPECT_EQ(g.num_half_edges(), running) << describe(g);
+  }
+}
+
 TEST(GraphCsr, FlatFromRotationEqualsNested) {
   // Crossed parallel edges plus a half loop: a rotation map sequential port
   // assignment cannot express.

@@ -47,14 +47,14 @@ TEST(EventSim, HeapOrdersByTimeThenPushSeq) {
   Graph g = graph::cycle(4);
   LinkModel slow = perfect();
   slow.latency_min = slow.latency_max = 5;
-  EventSim sim(g, 7, perfect());
-  sim.set_link_model(0, 0, slow);
-  sim.send(0, 0, 1);  // arrives at t=5
-  sim.send(1, 1, 2);  // arrives at t=1
+  EventSim sim(g, 7, slow);
+  sim.send(0, 0, 1);     // arrives at t=5
+  sim.set_timer(1, 98);  // t=1: pushed later, due earlier
   sim.set_timer(5, 99);  // t=5, pushed after frame 1's arrival
-  auto a = sim.next();
+  auto a = sim.next();   // time orders first, whatever the push order
   ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->frame_id, 2u);
+  EXPECT_EQ(a->kind, SimEventKind::kTimer);
+  EXPECT_EQ(a->timer_id, 98u);
   auto b = sim.next();  // same time as the timer, lower push seq
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(b->kind, SimEventKind::kArrival);
@@ -146,9 +146,6 @@ TEST(EventSim, ValidatesArguments) {
   EXPECT_THROW(sim.send(5, 0, 0), std::invalid_argument);
   EXPECT_THROW(sim.send(0, 7, 0), std::invalid_argument);
   EXPECT_THROW(sim.set_link_up(9, 0, false), std::invalid_argument);
-  LinkModel bad;
-  bad.loss = 1.5;
-  EXPECT_THROW(sim.set_link_model(0, 0, bad), std::invalid_argument);
   LinkModel inverted;
   inverted.latency_min = 5;
   inverted.latency_max = 2;
@@ -295,8 +292,6 @@ TEST(EventSimFaults, CorruptProbabilityIsValidated) {
   LinkModel bad = perfect();
   bad.corrupt = 1.5;
   EXPECT_THROW(EventSim(g, 7, bad), std::invalid_argument);
-  EventSim sim(g, 7, perfect());
-  EXPECT_THROW(sim.set_link_model(0, 0, bad), std::invalid_argument);
 }
 
 TEST(EventSimFaults, CrashedNodeDropsSendsAtDeparture) {
@@ -366,28 +361,6 @@ TEST(EventSimFaults, ScheduledCrashWindowOpensAndClosesAtExactTimes) {
   auto c = sim.next();
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->frame_id, 3u);
-}
-
-TEST(EventSimFaults, GlobalCorruptFaultAppliesToOverriddenLinksToo) {
-  Graph g = graph::from_edges(2, {{0, 1}});
-  EventSim sim(g, 7, perfect());
-  LinkModel slow = perfect();
-  slow.latency_min = slow.latency_max = 2;
-  sim.set_link_model(0, 0, slow);  // per-link override in place
-  FaultAction burst;
-  burst.kind = FaultAction::Kind::kGlobalCorrupt;
-  burst.corrupt = 1.0;
-  sim.schedule_fault(0, burst);
-  EXPECT_FALSE(sim.next().has_value());  // applies the fault, queue empty
-  sim.send(0, 0, 1);  // drawn under the burst: corrupted
-  sim.send(1, 0, 2);  // default-model direction: corrupted too
-  auto a = sim.next();
-  auto b = sim.next();
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_TRUE(a->corrupted);
-  EXPECT_TRUE(b->corrupted);
-  EXPECT_EQ(sim.frames_corrupted(), 2u);
 }
 
 TEST(EventSimFaults, ScheduleFaultValidatesTargets) {

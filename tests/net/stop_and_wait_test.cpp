@@ -112,10 +112,10 @@ TEST(ReliableTransport, DuplicationAloneCannotBreakExactlyOnce) {
   m.latency_max = 13;
   ReliableOptions opts;
   opts.rto = 64;  // > worst-case RTT: no spurious timeout retransmits
-  // Pin the fixed-RTO regime: an adaptive estimator would converge to the
-  // mean RTT and time out on the 13-tick jitter tail, which is allowed
-  // behaviour but not what this test is about.
-  opts.adaptive_rto = false;
+  // Floor the adaptive timeout there too: unfloored, the estimator would
+  // converge to the mean RTT and time out on the 13-tick jitter tail,
+  // which is allowed behaviour but not what this test is about.
+  opts.rto_min = 64;
   WindowTransport rt = stop_and_wait_transport(g, 3, m, opts);
   for (int i = 0; i < 20; ++i) {
     WindowOutcome out = rt.send(0, 0);
@@ -129,7 +129,6 @@ TEST(ReliableTransport, DuplicationAloneCannotBreakExactlyOnce) {
 
 TEST(ReliableTransport, AdaptiveRtoConvergesOnCleanLink) {
   Graph g = graph::from_edges(2, {{0, 1}});
-  // adaptive_rto defaults on
   WindowTransport rt = stop_and_wait_transport(g, 3);
   for (int i = 0; i < 16; ++i) {
     // The RTO the first copy is armed with.
@@ -145,7 +144,7 @@ TEST(ReliableTransport, AdaptiveRtoConvergesOnCleanLink) {
   EXPECT_EQ(rt.estimator().srtt(), 2u);  // unit latency each way
   // The working RTO tracked the measured RTT down from the initial 8.
   EXPECT_EQ(rt.estimator().rto(), 5u);
-  EXPECT_EQ(rt.total_rtt_samples(), 16u);
+  EXPECT_EQ(rt.estimator().samples(), 16u);
 }
 
 TEST(ReliableTransport, KarnBackoffPersistsAcrossTransfersUntilSampled) {
@@ -280,34 +279,6 @@ TEST(ReliableTransport, ReceiverCrashWindowNeverDoubleDelivers) {
   EXPECT_GT(out.retransmits, 0u);  // the window really cost retries
   EXPECT_GT(rt.sim().frames_crash_dropped(), 0u);
   EXPECT_EQ(rt.sim().crash_epochs(1), 1u);
-}
-
-TEST(ReliableTransport, PerLinkRtoKeepsSlowAndFastLinksApart) {
-  // A triangle with one slow edge: under the transport-wide estimator the
-  // slow link inflates every timeout; per-link mode keeps one estimator
-  // per directed link, so the fast links' RTOs stay tight.
-  Graph g = graph::cycle(3);
-  ReliableOptions opts;
-  opts.per_link_rto = true;
-  WindowTransport rt = stop_and_wait_transport(g, 3, {}, opts);
-  LinkModel slow;
-  slow.latency_min = slow.latency_max = 50;
-  const graph::HalfEdge back = g.rotate(0, 0);  // the ack's return edge
-  rt.sim().set_link_model(0, 0, slow);          // data direction slow
-  rt.sim().set_link_model(back.node, back.port, slow);  // ack path slow
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(rt.send(0, 0).delivered);  // slow edge
-    EXPECT_TRUE(rt.send(0, 1).delivered);  // fast edge 0 -> 2
-  }
-  const SimTime slow_srtt = rt.link_estimator(0, 0).srtt();
-  const SimTime fast_srtt = rt.link_estimator(0, 1).srtt();
-  EXPECT_GT(slow_srtt, 50u);  // ~100 (two slow legs per round trip)
-  EXPECT_LT(fast_srtt, 10u);  // ~2
-  EXPECT_LT(rt.link_estimator(0, 1).rto(), rt.link_estimator(0, 0).rto());
-  // Karn discards the slow edge's first two transfers (they retransmit
-  // while the timeout ramps from 8 past the 100-tick RTT): 16 - 2.
-  EXPECT_EQ(rt.total_rtt_samples(), 14u);
-  EXPECT_EQ(rt.estimator().samples(), 0u);  // shared estimator never fed
 }
 
 TEST(ReliableTransport, ValidatesOptions) {
