@@ -233,7 +233,8 @@ BENCHMARK(BM_DegreeReductionClusters)->Arg(1)->Arg(2)
 
 // The lossy-session layer on its own: one static LossyRouteSession on the
 // 16,384-cluster graph (393,216 gadgets), whose constructor builds the
-// session's private channel (net::EventSim) sized to the whole graph.
+// session's private channel (net::EventSim).  The channel's fault state is
+// sparse, so neither the time nor the heap should grow with the graph.
 // Times the constructor and reports the heap the session keeps
 // (heap_bytes: glibc's in-use arena plus mmapped chunks).
 void BM_LossyRouteSessionCtor(benchmark::State& state) {

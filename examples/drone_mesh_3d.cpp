@@ -27,8 +27,13 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 0;
   int pairs = 0;
   try {
-    drones = static_cast<uesr::graph::NodeId>(cli.get_int("drones", 70));
+    const std::int64_t count = cli.get_int("drones", 70);
+    if (count < 1 || count > (1 << 16))
+      throw std::invalid_argument("flag --drones must be in [1, 65536]");
+    drones = static_cast<uesr::graph::NodeId>(count);
     radius = cli.get_double("radius", 0.34);
+    if (!(radius > 0.0))
+      throw std::invalid_argument("flag --radius must be > 0");
     seed = static_cast<std::uint64_t>(cli.get_int("seed", 5));
     pairs = static_cast<int>(cli.get_int("pairs", 15));
   } catch (const std::invalid_argument& e) {

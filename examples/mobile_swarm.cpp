@@ -31,10 +31,17 @@ int main(int argc, char** argv) {
   std::uint64_t period = 0;
   std::uint64_t epochs = 0;
   try {
-    drones = static_cast<uesr::graph::NodeId>(cli.get_int("drones", 40));
+    const std::int64_t count = cli.get_int("drones", 40);
+    if (count < 1 || count > (1 << 16))
+      throw std::invalid_argument("flag --drones must be in [1, 65536]");
+    drones = static_cast<uesr::graph::NodeId>(count);
     dim = static_cast<int>(cli.get_int("dim", 3));
+    if (dim != 2 && dim != 3)
+      throw std::invalid_argument("flag --dim must be 2 or 3");
     radius = cli.get_double("radius", 0.36);
     speed = cli.get_double("speed", 0.05);
+    if (!(radius > 0.0 && speed > 0.0))
+      throw std::invalid_argument("flags --radius and --speed must be > 0");
     seed = static_cast<std::uint64_t>(cli.get_int("seed", 9));
     pairs = static_cast<int>(cli.get_int("pairs", 12));
     period = static_cast<std::uint64_t>(cli.get_int("period", 48));

@@ -23,8 +23,13 @@ int main(int argc, char** argv) {
   double p = 0.0;
   std::uint64_t seed = 0;
   try {
-    n = static_cast<uesr::graph::NodeId>(cli.get_int("nodes", 12));
+    const std::int64_t count = cli.get_int("nodes", 12);
+    if (count < 1 || count > (1 << 16))
+      throw std::invalid_argument("flag --nodes must be in [1, 65536]");
+    n = static_cast<uesr::graph::NodeId>(count);
     p = cli.get_double("p", 0.25);
+    if (!(p > 0.0 && p <= 1.0))
+      throw std::invalid_argument("flag --p must be in (0, 1]");
     seed = static_cast<std::uint64_t>(cli.get_int("seed", 4));
   } catch (const std::invalid_argument& e) {
     std::cerr << "route_trace_viz: " << e.what() << "\n";

@@ -26,8 +26,13 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 0;
   int pairs = 0;
   try {
-    motes = static_cast<uesr::graph::NodeId>(cli.get_int("motes", 80));
+    const std::int64_t count = cli.get_int("motes", 80);
+    if (count < 1 || count > (1 << 16))
+      throw std::invalid_argument("flag --motes must be in [1, 65536]");
+    motes = static_cast<uesr::graph::NodeId>(count);
     radius = cli.get_double("radius", 0.22);
+    if (!(radius > 0.0))
+      throw std::invalid_argument("flag --radius must be > 0");
     seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
     pairs = static_cast<int>(cli.get_int("pairs", 12));
   } catch (const std::invalid_argument& e) {

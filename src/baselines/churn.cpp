@@ -108,40 +108,6 @@ ChurnAttempt ChurnRouter::route_random_walk(NodeId s, NodeId t,
   return a;
 }
 
-ChurnAttempt ChurnRouter::route_flooding(NodeId s, NodeId t) const {
-  Replay r(*scenario_, period_, max_epochs_);
-  if (s >= r.g.num_nodes() || t >= r.g.num_nodes())
-    throw std::invalid_argument(
-        "ChurnRouter::route_flooding: node out of range");
-  ChurnAttempt a;
-  std::vector<char> seen(r.g.num_nodes(), 0);
-  std::deque<NodeId> frontier{s};
-  seen[s] = 1;
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop_front();
-    // v retransmits once, over its ports in the epoch it transmits in.
-    const graph::Graph& g = r.g.snapshot();
-    const Port deg = g.degree(v);
-    for (Port p = 0; p < deg; ++p) {
-      const NodeId w = g.neighbor(v, p);
-      if (!seen[w]) {
-        seen[w] = 1;
-        frontier.push_back(w);
-      }
-    }
-    a.transmissions += deg;
-    for (Port p = 0; p < deg; ++p) r.tx_tick();
-  }
-  a.delivered = seen[t] != 0;
-  // Never certified: a link appearing behind the wave re-connects t to
-  // nodes that will not retransmit again, so "the wave died out" proves
-  // nothing about the final topology.
-  a.ticks = r.ticks;
-  a.completion_epoch = r.g.epoch();
-  return a;
-}
-
 ChurnAttempt ChurnRouter::route_gossip(NodeId s, NodeId t, double loss,
                                        double p, std::uint64_t seed) const {
   if (!(loss >= 0.0 && loss <= 1.0))
@@ -165,8 +131,8 @@ ChurnAttempt ChurnRouter::route_gossip(NodeId s, NodeId t, double loss,
     // sequence is a pure function of the infection order.  A silent node
     // sends nothing and charges nothing.
     if (v != s && rng.next_double() >= p) continue;
-    // Like route_flooding, v speaks over its ports in the epoch it
-    // transmits in: read the snapshot first, charge the clock after.
+    // v speaks once, over its ports in the epoch it transmits in: read the
+    // snapshot first, charge the clock after.
     const graph::Graph& g = r.g.snapshot();
     const Port deg = g.degree(v);
     for (Port p_ = 0; p_ < deg; ++p_) {
@@ -183,8 +149,10 @@ ChurnAttempt ChurnRouter::route_gossip(NodeId s, NodeId t, double loss,
     for (Port p_ = 0; p_ < deg; ++p_) r.tx_tick();
   }
   a.delivered = seen[t] != 0;
-  // Never certified, for the same reason as route_flooding — and loss adds
-  // a second hole: a dropped copy silently prunes the wave.
+  // Never certified: a link appearing behind the wave re-connects t to
+  // nodes that will not retransmit again, so "the wave died out" proves
+  // nothing about the final topology — and loss adds a second hole: a
+  // dropped copy silently prunes the wave.
   a.ticks = r.ticks;
   a.completion_epoch = r.g.epoch();
   return a;

@@ -69,18 +69,21 @@ class ChurnRouter {
                                  std::uint64_t seed) const;
 
   /// Flooding with persistent per-node seen bits (the model violation the
-  /// static baseline already commits); never certifies under churn.
-  ChurnAttempt route_flooding(graph::NodeId s, graph::NodeId t) const;
+  /// static baseline already commits); never certifies under churn.  It is
+  /// route_gossip(s, t, 0.0, 1.0, 0): at p = 1 every infected node speaks
+  /// and at loss = 0 every copy arrives, so no draw changes anything.
+  ChurnAttempt route_flooding(graph::NodeId s, graph::NodeId t) const {
+    return route_gossip(s, t, 0.0, 1.0, 0);
+  }
 
   /// baselines::gossip_lossy lifted to the churn grid (the Haas–Halpern–Li
   /// comparison point of PAPERS.md under a MOVING topology): each copy is
   /// lost with probability `loss`, each newly-infected node retransmits
   /// with probability `p` (the source always does), seen bits persist
-  /// across epochs like route_flooding's.  Draws come from one
-  /// Pcg32(seed) in deterministic frontier order, so the attempt is a
-  /// pure function of (scenario, s, t, loss, p, seed) — seed-pure and
-  /// replayable per the PR 4 convention.  Never certifies.  At p = 1,
-  /// loss = 0 this is exactly route_flooding.
+  /// across epochs.  Draws come from one Pcg32(seed) in deterministic
+  /// frontier order, so the attempt is a pure function of (scenario, s, t,
+  /// loss, p, seed) — seed-pure and replayable per the PR 4 convention.
+  /// Never certifies.
   ChurnAttempt route_gossip(graph::NodeId s, graph::NodeId t, double loss,
                             double p, std::uint64_t seed) const;
 

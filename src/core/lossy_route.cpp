@@ -13,12 +13,12 @@ using graph::NodeId;
 using graph::Port;
 using net::Status;
 
-/// One churn epoch's network: the snapshot's reduction and its T_n.  The
-/// walk and the channel point into it, so they go before the epoch does.
-struct LossyRouteSession::Epoch {
-  explore::ReducedGraph reduced;
-  std::shared_ptr<const explore::ExplorationSequence> seq;
-};
+WalkNetwork::WalkNetwork(const graph::Graph& g, std::uint64_t epoch,
+                         std::uint64_t seq_seed, util::ThreadPool* pool)
+    : epoch(epoch),
+      reduced(explore::reduce_to_cubic(g, pool)),
+      seq(explore::cached_standard_ues(
+          std::max<NodeId>(reduced.cubic.num_nodes(), 1), seq_seed)) {}
 
 LossyRouteSession::LossyRouteSession(const explore::ReducedGraph& net,
                                      const explore::ExplorationSequence& seq,
@@ -45,20 +45,29 @@ LossyRouteSession::LossyRouteSession(const explore::ReducedGraph& net,
 
 LossyRouteSession::LossyRouteSession(const graph::DynamicGraph& g, NodeId s,
                                      NodeId t, LossyDynamicOptions options)
-    : LossyRouteSession(g, s, t, std::move(options), true) {}
+    : LossyRouteSession(g, nullptr, s, t, std::move(options), true) {}
+
+LossyRouteSession::LossyRouteSession(
+    const graph::DynamicGraph& g, NodeId s, NodeId t,
+    const std::shared_ptr<const WalkNetwork>& network,
+    std::optional<LossyDynamicOptions> channel)
+    : LossyRouteSession(g, &network, s, t,
+                        channel.value_or(LossyDynamicOptions{}),
+                        channel.has_value()) {}
 
 LossyRouteSession LossyRouteSession::perfect_link(const graph::DynamicGraph& g,
                                                   NodeId s, NodeId t,
                                                   std::uint64_t seq_seed) {
   LossyDynamicOptions options;
   options.seq_seed = seq_seed;
-  return LossyRouteSession(g, s, t, std::move(options), false);
+  return LossyRouteSession(g, nullptr, s, t, std::move(options), false);
 }
 
-LossyRouteSession::LossyRouteSession(const graph::DynamicGraph& g, NodeId s,
-                                     NodeId t, LossyDynamicOptions options,
-                                     bool channel)
-    : graph_(&g), s_(s), t_(t), options_(std::move(options)),
+LossyRouteSession::LossyRouteSession(
+    const graph::DynamicGraph& g,
+    const std::shared_ptr<const WalkNetwork>* shared, NodeId s, NodeId t,
+    LossyDynamicOptions options, bool channel)
+    : graph_(&g), shared_(shared), s_(s), t_(t), options_(std::move(options)),
       channel_(channel) {
   const NodeId n = g.num_nodes();
   if (s >= n || t >= n)
@@ -75,6 +84,9 @@ LossyRouteSession::LossyRouteSession(const graph::DynamicGraph& g, NodeId s,
 LossyRouteSession::~LossyRouteSession() = default;
 
 void LossyRouteSession::rebuild() {
+  const std::uint64_t epoch = graph_->epoch();
+  if (shared_ && (!*shared_ || (*shared_)->epoch != epoch))
+    throw std::logic_error("LossyRouteSession: stale shared WalkNetwork");
   if (walk_) {
     // A restart: the discarded epoch's frames and retries were really
     // spent.
@@ -84,20 +96,14 @@ void LossyRouteSession::rebuild() {
       stats_.virtual_time += arq_->sim().now();
       arq_.reset();
     }
-    epoch_.reset();
     ++restarts_;
   }
-  session_epoch_ = graph_->epoch();
-  epoch_ = std::make_unique<Epoch>();
-  epoch_->reduced = explore::reduce_to_cubic(graph_->snapshot());
-  // Concurrent sessions over the same snapshot (and restarts across
-  // epochs that revisit a size) share one T_n via the process-wide cache.
-  epoch_->seq = explore::cached_standard_ues(
-      std::max<NodeId>(
-          static_cast<NodeId>(epoch_->reduced.cubic.num_nodes()), 1),
-      options_.seq_seed);
-  net_ = &epoch_->reduced;
-  seq_ = epoch_->seq.get();
+  session_epoch_ = epoch;
+  network_ = shared_ ? *shared_
+                     : std::make_shared<const WalkNetwork>(
+                           graph_->snapshot(), epoch, options_.seq_seed);
+  net_ = &network_->reduced;
+  seq_ = network_->seq.get();
   restart();
 }
 

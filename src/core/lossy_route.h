@@ -46,8 +46,9 @@
 // graph::DynamicGraph, its hops run against an epoch stamp that is part of
 // the walk's validity: every piece of the §2.4 bookkeeping is stated
 // relative to ONE topology, so when the epoch moves the session RESTARTS —
-// it reduces the new snapshot, sizes a fresh T_n for it and re-injects at
-// s (stateless nodes make restarts free: no node has anything to forget).
+// it takes the epoch's WalkNetwork, shared by every walk of the epoch,
+// and re-injects at s (stateless nodes make restarts free: no node has
+// anything to forget).
 // Every completed walk therefore ran within a single epoch, and its
 // verdict is an exact statement about completion_epoch() (with the usual
 // universality caveat of DESIGN.md §3); it says nothing about later
@@ -75,6 +76,19 @@
 #include "net/window.h"
 
 namespace uesr::core {
+
+/// One epoch's walk network: the degree reduction of the epoch's snapshot
+/// (over `pool` when given) and the cached standard T_n of `seq_seed` sized
+/// for it.  Nodes keep no state, so every walk of an epoch shares one
+/// immutable instance (a static topology is one epoch, stamp 0).
+struct WalkNetwork {
+  WalkNetwork(const graph::Graph& g, std::uint64_t epoch,
+              std::uint64_t seq_seed, util::ThreadPool* pool = nullptr);
+
+  std::uint64_t epoch;  ///< the DynamicGraph::epoch() of the snapshot
+  explore::ReducedGraph reduced;
+  std::shared_ptr<const explore::ExplorationSequence> seq;
+};
 
 enum class LossyVerdict : std::uint8_t {
   kInProgress,
@@ -179,9 +193,19 @@ class LossyRouteSession {
                     graph::NodeId t, LossyRouteOptions options = {});
   /// Churning network.  `g` must outlive the session.  Epoch commits must
   /// happen strictly between step() calls (the TrafficEngine round
-  /// contract).  s == t is delivered at once, with no channel.
+  /// contract).  Each (re)start builds its own WalkNetwork.  s == t is
+  /// delivered at once, with no channel.
   LossyRouteSession(const graph::DynamicGraph& g, graph::NodeId s,
                     graph::NodeId t, LossyDynamicOptions options = {});
+  /// Churning network on its owner's `network` (which must outlive the
+  /// session): the owner re-points it between step() calls whenever g's
+  /// epoch moves, and each (re)start takes it — std::logic_error if its
+  /// stamp is not g.epoch().  Hops go over `channel` (its seq_seed unused)
+  /// or, without one, over perfect links as in perfect_link().
+  LossyRouteSession(const graph::DynamicGraph& g, graph::NodeId s,
+                    graph::NodeId t,
+                    const std::shared_ptr<const WalkNetwork>& network,
+                    std::optional<LossyDynamicOptions> channel);
   /// The churn walk over perfect links: no channel, every hop the
   /// rotation of the current epoch's reduction, never blocked.  `seq_seed`
   /// seeds the per-epoch T_n as LossyDynamicOptions::seq_seed does.
@@ -239,6 +263,9 @@ class LossyRouteSession {
   std::uint64_t session_epoch() const { return session_epoch_; }
   /// Epoch the verdict is about; meaningful once finished().
   std::uint64_t completion_epoch() const { return completion_epoch_; }
+  /// Churn: the network the in-flight (or final) walk runs on; null on a
+  /// static network and when s == t.
+  const WalkNetwork* network() const { return network_.get(); }
 
   /// The configured ARQ.
   ArqKind arq() const { return options_.arq; }
@@ -250,16 +277,16 @@ class LossyRouteSession {
   net::EventSim& sim() { return arq_->sim(); }
 
  private:
-  struct Epoch;  ///< churn: one epoch's reduction + sequence
-
-  /// Churn: `channel` false builds the perfect-link walk.
-  LossyRouteSession(const graph::DynamicGraph& g, graph::NodeId s,
-                    graph::NodeId t, LossyDynamicOptions options,
-                    bool channel);
+  /// Churn: `shared` null builds each epoch's network itself; `channel`
+  /// false builds the perfect-link walk.
+  LossyRouteSession(const graph::DynamicGraph& g,
+                    const std::shared_ptr<const WalkNetwork>* shared,
+                    graph::NodeId s, graph::NodeId t,
+                    LossyDynamicOptions options, bool channel);
   std::uint64_t current_epoch() const {
     return graph_ ? graph_->epoch() : session_epoch_;
   }
-  /// Churn: reduces the current snapshot and restarts the walk on it.
+  /// Churn: takes the current epoch's network and restarts the walk on it.
   void rebuild();
   /// Opens the epoch's channel (if the walk has one), arms its faults and
   /// starts the walk from s.
@@ -269,10 +296,12 @@ class LossyRouteSession {
   bool transfer(const RouteSession::Departure& d);
 
   const graph::DynamicGraph* graph_ = nullptr;  ///< null: static network
+  /// Churn: the owner's network handle; null: each epoch builds its own.
+  const std::shared_ptr<const WalkNetwork>* shared_ = nullptr;
   graph::NodeId s_, t_;
   LossyDynamicOptions options_;
   bool channel_ = true;  ///< false: perfect links, no ARQ
-  std::unique_ptr<Epoch> epoch_;
+  std::shared_ptr<const WalkNetwork> network_;  ///< churn: the walk's
   const explore::ReducedGraph* net_ = nullptr;  ///< the epoch's network
   const explore::ExplorationSequence* seq_ = nullptr;
   std::optional<RouteSession> walk_;  ///< the epoch's walk; none if s == t

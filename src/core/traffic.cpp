@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/multi_walk.h"
-#include "explore/sequence_cache.h"
 #include "net/message.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -16,6 +15,7 @@ using graph::NodeId;
 
 namespace {
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kHybridWalkerSeed = 0x7a11;  ///< hybrid token seeds
 }  // namespace
 
 /// Per-session stepper.  step() performs at most one transmission (free
@@ -49,10 +49,9 @@ struct BroadcastLane final : TrafficEngine::Lane {
   std::vector<char> visited;
   std::uint64_t distinct = 0;
 
-  BroadcastLane(const explore::ReducedGraph& net,
-                const explore::ExplorationSequence& seq, NodeId s)
-      : session(net, seq, s, net::kNoTarget),
-        visited(net.first_gadget.size(), 0) {
+  BroadcastLane(const WalkNetwork& net, NodeId s)
+      : session(net.reduced, *net.seq, s, net::kNoTarget),
+        visited(net.reduced.first_gadget.size(), 0) {
     visit(s);
   }
   void visit(NodeId original) {
@@ -86,10 +85,9 @@ struct HybridLane final : TrafficEngine::Lane {
   RouteSession guar;
   HybridSession hybrid;
 
-  HybridLane(std::unique_ptr<TokenWalker> walker,
-             const explore::ReducedGraph& net,
-             const explore::ExplorationSequence& seq, NodeId s, NodeId t)
-      : prob(std::move(walker)), guar(net, seq, s, t),
+  HybridLane(std::unique_ptr<TokenWalker> walker, const WalkNetwork& net,
+             NodeId s, NodeId t)
+      : prob(std::move(walker)), guar(net.reduced, *net.seq, s, t),
         hybrid(*prob, guar) {}
   void step() override { hybrid.step(); }
   bool finished() const override { return hybrid.finished(); }
@@ -114,30 +112,29 @@ struct LossyRouteLane final : TrafficEngine::Lane {
   LossyRouteSession session;
 
   /// Static network, lossy.
-  LossyRouteLane(const explore::ReducedGraph& net,
-                 const explore::ExplorationSequence& seq, NodeId s, NodeId t,
+  LossyRouteLane(const WalkNetwork& net, NodeId s, NodeId t,
                  const LossyTrafficConfig& cfg, std::size_t id)
-      : session(net, seq, s, t, static_options(net, cfg, id)) {
+      : session(net.reduced, *net.seq, s, t,
+                static_options(net.reduced, cfg, id)) {
     if (session.finished() || cfg.one_sided_down <= 0.0) return;
     // Per-session direction kills from a dedicated stream (never the
     // channel's): replayable and thread-count invariant.
     util::Pcg32 flips(util::counter_hash(cfg.net_seed ^ 0x1e51dedu, id));
-    const graph::Graph& cubic = net.cubic;
+    const graph::Graph& cubic = net.reduced.cubic;
     net::EventSim& sim = session.sim();
     for (NodeId v = 0; v < cubic.num_nodes(); ++v)
       for (graph::Port q = 0; q < cubic.degree(v); ++q)
         if (flips.next_double() < cfg.one_sided_down)
           sim.set_link_up(v, q, false);
   }
-  /// Churning network, lossy.
-  LossyRouteLane(const graph::DynamicGraph& g, NodeId s, NodeId t,
-                 const LossyTrafficConfig& cfg, std::uint64_t seq_seed,
+  /// Churning network, lossy or (no `cfg`) on perfect links.
+  LossyRouteLane(const graph::DynamicGraph& g,
+                 const std::shared_ptr<const WalkNetwork>& network, NodeId s,
+                 NodeId t, const std::optional<LossyTrafficConfig>& cfg,
                  std::size_t id)
-      : session(g, s, t, dynamic_options(cfg, seq_seed, id)) {}
-  /// Churning network, perfect links.
-  LossyRouteLane(const graph::DynamicGraph& g, NodeId s, NodeId t,
-                 std::uint64_t seq_seed)
-      : session(LossyRouteSession::perfect_link(g, s, t, seq_seed)) {}
+      : session(g, s, t, network,
+                cfg ? std::optional(dynamic_options(*cfg, id))
+                    : std::nullopt) {}
 
   static LossyRouteOptions static_options(const explore::ReducedGraph& net,
                                           const LossyTrafficConfig& cfg,
@@ -155,9 +152,8 @@ struct LossyRouteLane final : TrafficEngine::Lane {
     return options;
   }
   static LossyDynamicOptions dynamic_options(const LossyTrafficConfig& cfg,
-                                             std::uint64_t seq_seed,
                                              std::size_t id) {
-    LossyDynamicOptions options{cfg, seq_seed};
+    LossyDynamicOptions options{cfg};
     options.net_seed = util::counter_hash(cfg.net_seed, id);
     options.chaos_seed = util::counter_hash(cfg.chaos_seed, id);
     return options;
@@ -201,27 +197,24 @@ struct TrafficEngine::Shard {
   MultiWalkArena arena;
   std::vector<std::size_t> active;  ///< in-flight session ids
   std::size_t retired = 0;  ///< walks the last step_shard() retired
-  Shard(const explore::ReducedGraph& net,
-        const explore::ExplorationSequence& seq)
-      : arena(net, seq) {}
+  explicit Shard(const WalkNetwork& net) : arena(net.reduced, *net.seq) {}
 };
 
 TrafficEngine::TrafficEngine(const graph::Graph& g, TrafficOptions options)
     : options_(options),
       pool_(std::make_unique<PoolHolder>(options.threads)),
       graph_(&g),
-      reduced_(explore::reduce_to_cubic(g, &pool_->pool)) {
+      network_(std::make_shared<const WalkNetwork>(g, 0, options.seq_seed,
+                                                   &pool_->pool)) {
   if (options_.batch == 0)
     throw std::invalid_argument("TrafficEngine: batch >= 1");
-  seq_ = explore::cached_standard_ues(
-      std::max<NodeId>(reduced_.cubic.num_nodes(), 1), options_.seq_seed);
   if (!options_.lossy) {
     // Static perfect-link mode: route sessions run on sharded SoA arenas.
     const unsigned shard_count =
         options_.shards ? options_.shards : pool_->pool.size();
     shards_.reserve(shard_count);
     for (unsigned i = 0; i < shard_count; ++i)
-      shards_.push_back(std::make_unique<Shard>(reduced_, *seq_));
+      shards_.push_back(std::make_unique<Shard>(*network_));
   }
 }
 
@@ -355,26 +348,20 @@ void TrafficEngine::activate_arrivals() {
       continue;
     }
     const SessionSpec& spec = specs_[id];
-    if (options_.lossy && dynamic()) {
+    if (dynamic()) {
       lanes_[id] = std::make_unique<LossyRouteLane>(
-          *dynamic_graph_, spec.s, spec.t, *options_.lossy,
-          options_.seq_seed, id);
+          *dynamic_graph_, network_, spec.s, spec.t, options_.lossy, id);
     } else if (options_.lossy) {
-      lanes_[id] = std::make_unique<LossyRouteLane>(reduced_, *seq_, spec.s,
-                                                    spec.t, *options_.lossy,
-                                                    id);
-    } else if (dynamic()) {
       lanes_[id] = std::make_unique<LossyRouteLane>(
-          *dynamic_graph_, spec.s, spec.t, options_.seq_seed);
+          *network_, spec.s, spec.t, *options_.lossy, id);
     } else if (spec.kind == TrafficKind::kBroadcast) {
       // (Static perfect-link kRoute sessions all run on the arena shards.)
-      lanes_[id] = std::make_unique<BroadcastLane>(reduced_, *seq_, spec.s);
+      lanes_[id] = std::make_unique<BroadcastLane>(*network_, spec.s);
     } else {
       lanes_[id] = std::make_unique<HybridLane>(
           options_.hybrid_walker(*graph_, spec.s, spec.t, spec.hybrid_ttl,
-                                 util::counter_hash(options_.walker_seed,
-                                                    id)),
-          reduced_, *seq_, spec.s, spec.t);
+                                 util::counter_hash(kHybridWalkerSeed, id)),
+          *network_, spec.s, spec.t);
     }
     active_.push_back(id);
   }
@@ -499,6 +486,11 @@ std::size_t TrafficEngine::run_round() {
     clock_ = std::max(clock_, next);
   }
   advance_epochs_to(clock_);
+  // Dynamic mode: one network per epoch, built before any lane needs it.
+  if (dynamic() && (!network_ || network_->epoch != dynamic_graph_->epoch()))
+    network_ = std::make_shared<const WalkNetwork>(
+        dynamic_graph_->snapshot(), dynamic_graph_->epoch(),
+        options_.seq_seed, &pool_->pool);
   pull_arrivals();
   activate_arrivals();
   process_departures();

@@ -39,9 +39,8 @@
 //     per attempt for fair per-attempt comparisons), all sessions here
 //     live through one shared schedule — the production shape.
 //
-// Identical exploration sequences are shared, not rebuilt, across
-// sessions via explore::SequenceCache (static mode builds one T_n for the
-// whole engine; dynamic restarts hit the cache per epoch size).
+// Sessions share one immutable WalkNetwork (core/lossy_route.h): static
+// mode builds it once, dynamic mode once per epoch, between rounds.
 #pragma once
 
 #include <cstdint>
@@ -126,7 +125,7 @@ struct SessionReport {
 };
 
 /// Builds the probabilistic token of a kHybrid session.  The seed is
-/// derived per session id (counter_hash(walker_seed, id)); the factory
+/// derived per session id (counter_hash(kHybridWalkerSeed, id)); the factory
 /// must be a pure function of its arguments for reports to stay
 /// replayable.  core itself ships no concrete walker (that would invert
 /// the layer graph); baselines::random_walk_factory() supplies the
@@ -157,9 +156,6 @@ class ArrivalSource {
 
 struct TrafficOptions {
   std::uint64_t seq_seed = 0x5eed0001;  ///< T_n family seed
-  /// Hybrid token streams: session id's walker is seeded
-  /// counter_hash(walker_seed, id) — thread-count invariant by construction.
-  std::uint64_t walker_seed = 0x7a11;
   /// Required to admit kHybrid sessions (admit() throws otherwise).
   WalkerFactory hybrid_walker;
   /// Clock ticks per round, a scheduling granularity.  Static-mode
@@ -196,8 +192,8 @@ struct TrafficOptions {
 
 class TrafficEngine {
  public:
-  /// Static mode: all sessions share `g` (which must outlive the engine),
-  /// one degree reduction, and one cached T_n sized for it.
+  /// Static mode: all sessions share `g` (which must outlive the engine)
+  /// and one WalkNetwork built for it.
   explicit TrafficEngine(const graph::Graph& g, TrafficOptions options = {});
 
   /// Dynamic mode: the engine owns a fresh replay of `scenario` and
@@ -238,6 +234,8 @@ class TrafficEngine {
   std::uint64_t clock() const { return clock_; }
   /// Dynamic mode: the committed epoch of the shared topology (0 static).
   std::uint64_t epoch() const;
+  /// The shared network (dynamic mode: the last round's; null before one).
+  const WalkNetwork* network() const { return network_.get(); }
   bool dynamic() const { return dynamic_graph_ != nullptr; }
 
   std::size_t session_count() const { return reports_.size(); }
@@ -275,10 +273,9 @@ class TrafficEngine {
   /// Built first: the static constructor's degree reduction runs on it.
   std::unique_ptr<PoolHolder> pool_;
 
-  // Static mode: the shared network; one reduction + one shared sequence.
-  const graph::Graph* graph_ = nullptr;
-  explore::ReducedGraph reduced_;
-  std::shared_ptr<const explore::ExplorationSequence> seq_;
+  const graph::Graph* graph_ = nullptr;  ///< static mode's topology
+  /// Every lane's network; lanes read it in rounds, run_round() replaces it.
+  std::shared_ptr<const WalkNetwork> network_;
 
   // Dynamic mode: an owned scenario replay on the shared clock.
   std::unique_ptr<graph::Scenario> scenario_;

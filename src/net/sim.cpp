@@ -47,9 +47,6 @@ void damage(SimEvent& ev, util::Pcg32& rng) {
 EventSim::EventSim(const graph::Graph& g, std::uint64_t seed, LinkModel model)
     : graph_(&g), seed_(seed), model_(model) {
   validate_model(model, "EventSim");
-  down_.resize(g.num_half_edges(), false);
-  crashed_.resize(g.num_nodes(), false);
-  crash_epochs_.resize(g.num_nodes(), 0);
 }
 
 void EventSim::check_half_edge(NodeId u, Port p, const char* who) const {
@@ -66,28 +63,34 @@ void EventSim::check_node(NodeId v, const char* who) const {
 
 void EventSim::set_link_up(NodeId u, Port p, bool up) {
   check_half_edge(u, p, "EventSim::set_link_up");
-  down_[link_id(u, p)] = !up;
+  if (up)
+    down_.erase(link_id(u, p));
+  else
+    down_.insert(link_id(u, p));
 }
 
 bool EventSim::link_up(NodeId u, Port p) const {
   check_half_edge(u, p, "EventSim::link_up");
-  return !down_[link_id(u, p)];
+  return down_.count(link_id(u, p)) == 0;
 }
 
 void EventSim::set_node_crashed(NodeId v, bool crashed) {
   check_node(v, "EventSim::set_node_crashed");
-  if (crashed_[v] && !crashed) ++crash_epochs_[v];  // recovery: amnesia
-  crashed_[v] = crashed;
+  if (crashed)
+    crashed_.insert(v);
+  else if (crashed_.erase(v))
+    ++crash_epochs_[v];  // recovery: amnesia
 }
 
 bool EventSim::node_crashed(NodeId v) const {
   check_node(v, "EventSim::node_crashed");
-  return crashed_[v];
+  return crashed_.count(v) != 0;
 }
 
 std::uint64_t EventSim::crash_epochs(NodeId v) const {
   check_node(v, "EventSim::crash_epochs");
-  return crash_epochs_[v];
+  const auto it = crash_epochs_.find(v);
+  return it == crash_epochs_.end() ? 0 : it->second;
 }
 
 std::uint64_t EventSim::link_index(NodeId u, Port p) const {
@@ -117,12 +120,12 @@ void EventSim::send(NodeId from, Port out_port, std::uint64_t frame_id) {
            " link=" + std::to_string(from) + "." + std::to_string(out_port) +
            " f=" + std::to_string(frame_id) + " " + outcome);
   };
-  if (crashed_[from]) {  // a crashed node transmits nothing (no draws)
+  if (crashed_.count(from)) {  // a crashed node transmits nothing (no draws)
     ++frames_crashed_;
     stamp("crash");
     return;
   }
-  if (down_[link]) {  // transmitting into a dead direction: nothing receives
+  if (down_.count(link)) {  // sent into a dead direction: nothing receives
     ++frames_lost_;
     stamp("down");
     return;
@@ -226,17 +229,12 @@ void EventSim::schedule_fault(SimTime delay, const FaultAction& action) {
 void EventSim::apply_fault(const FaultAction& f) {
   switch (f.kind) {
     case FaultAction::Kind::kCrash:
-      crashed_[f.node] = true;
-      break;
     case FaultAction::Kind::kRecover:
-      if (crashed_[f.node]) ++crash_epochs_[f.node];
-      crashed_[f.node] = false;
+      set_node_crashed(f.node, f.kind == FaultAction::Kind::kCrash);
       break;
     case FaultAction::Kind::kLinkDown:
-      down_[link_id(f.node, f.port)] = true;
-      break;
     case FaultAction::Kind::kLinkUp:
-      down_[link_id(f.node, f.port)] = false;
+      set_link_up(f.node, f.port, f.kind == FaultAction::Kind::kLinkUp);
       break;
     case FaultAction::Kind::kGlobalCorrupt:
       model_.corrupt = f.corrupt;
@@ -267,13 +265,13 @@ std::optional<SimEvent> EventSim::next() {
       if (trace_limit_ != 0) record("E " + to_string(ev));
       return ev;
     }
-    if (down_[link_id(ev.from, ev.from_port)]) {
+    if (down_.count(link_id(ev.from, ev.from_port))) {
       // The direction died while the frame was in flight.
       ++frames_died_;
       if (trace_limit_ != 0) record("D " + to_string(ev));
       continue;
     }
-    if (crashed_[ev.node]) {
+    if (crashed_.count(ev.node)) {
       // Nobody is listening at the far end at this delivery instant.
       ++frames_crashed_;
       if (trace_limit_ != 0) record("C " + to_string(ev));

@@ -20,9 +20,11 @@
 // link (departure half-edge (u, out_port); the reverse direction
 // (v, in_port) is an independent link with its own draws and up/down
 // flag) — the one-loss-probability-per-transmission channel of the
-// comparison baselines.  Per-link state is just the down flag; the links
-// are numbered by graph::Graph::half_edge_index, so the simulator keeps
-// no copy of the graph's layout:
+// comparison baselines.  The links are numbered by
+// graph::Graph::half_edge_index, so the simulator keeps no copy of the
+// graph's layout, and its fault state is sparse: only the links that are
+// down and the nodes that crashed or recovered, so building one costs O(1)
+// in the graph's size:
 //   * latency uniform in [latency_min, latency_max] time units;
 //   * loss: each frame independently dropped with probability `loss`;
 //   * duplication: a surviving frame spawns a second, independently-delayed
@@ -57,7 +59,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -225,9 +229,10 @@ class EventSim {
   const graph::Graph* graph_;
   std::uint64_t seed_;
   LinkModel model_;
-  std::vector<bool> down_;  ///< per-link down flags, indexed by link id
-  std::vector<bool> crashed_;                ///< per-node crash flags
-  std::vector<std::uint64_t> crash_epochs_;  ///< per-node recovery counts
+  std::set<std::uint64_t> down_;     ///< ids of the links that are down
+  std::set<graph::NodeId> crashed_;  ///< the nodes that are down
+  /// Recovery counts of the nodes that recovered at least once.
+  std::map<graph::NodeId, std::uint64_t> crash_epochs_;
 
   /// Binary heap in (time, seq) order (std::push_heap/pop_heap) — a plain
   /// vector so lazy-cancel compaction can filter it in place.

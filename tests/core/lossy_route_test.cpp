@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -510,6 +512,59 @@ TEST(LossyDynamicRoute, PerfectLinkLockstepsRouteSessionOnFrozenTopology) {
       }
     }
   }
+}
+
+// The owner's per-epoch network: every session restarting into an epoch
+// takes the one WalkNetwork its owner built for that epoch.
+TEST(LossyDynamicRoute, SessionsRestartedInOneEpochShareTheOwnersNetwork) {
+  graph::DynamicGraph g(graph::path(12));
+  std::shared_ptr<const WalkNetwork> network =
+      std::make_shared<const WalkNetwork>(g.snapshot(), g.epoch(),
+                                          LossyDynamicOptions{}.seq_seed);
+  LossyDynamicRouteSession lossy(g, 0, 11, network, LossyDynamicOptions{});
+  LossyRouteSession perfect(g, 3, 9, network, std::nullopt);
+  EXPECT_EQ(lossy.network(), network.get());
+  EXPECT_EQ(perfect.network(), network.get());
+  for (int k = 0; k < 3; ++k) {
+    lossy.step();
+    perfect.step();
+  }
+  g.add_edge(0, 11);
+  g.commit();
+  network = std::make_shared<const WalkNetwork>(
+      g.snapshot(), g.epoch(), LossyDynamicOptions{}.seq_seed);
+  lossy.step();
+  perfect.step();
+  EXPECT_EQ(lossy.restarts(), 1u);
+  EXPECT_EQ(perfect.restarts(), 1u);
+  EXPECT_EQ(lossy.network(), perfect.network());
+  EXPECT_EQ(lossy.network(), network.get());
+  EXPECT_EQ(lossy.network()->epoch, 1u);
+  run_to_end(lossy);
+  run_to_end(perfect);
+  EXPECT_TRUE(lossy.delivered());
+  EXPECT_TRUE(perfect.delivered());
+  EXPECT_EQ(lossy.completion_epoch(), 1u);
+}
+
+TEST(LossyDynamicRoute, StaleSharedNetworkThrows) {
+  graph::DynamicGraph g(graph::path(6));
+  std::shared_ptr<const WalkNetwork> network =
+      std::make_shared<const WalkNetwork>(g.snapshot(), g.epoch(),
+                                          LossyDynamicOptions{}.seq_seed);
+  LossyDynamicRouteSession sess(g, 0, 5, network, LossyDynamicOptions{});
+  sess.step();
+  g.add_edge(0, 5);
+  g.commit();
+  // The owner did not rebuild the network for the new epoch.
+  EXPECT_THROW(sess.step(), std::logic_error);
+  EXPECT_THROW(LossyRouteSession(g, 0, 5, network, LossyDynamicOptions{}),
+               std::logic_error);
+  EXPECT_THROW(LossyRouteSession(g, 0, 5, network, std::nullopt),
+               std::logic_error);
+  const std::shared_ptr<const WalkNetwork> none;
+  EXPECT_THROW(LossyRouteSession(g, 0, 5, none, std::nullopt),
+               std::logic_error);
 }
 
 }  // namespace

@@ -576,5 +576,45 @@ TEST(TrafficEngine, DepartedScalarSessionsKeepTheirCounters) {
   }
 }
 
+// One network per epoch: the static engine builds its one at construction;
+// the dynamic engine builds none until a round runs, then one per
+// committed epoch, kept for every round of that epoch.
+TEST(TrafficEngine, OneSharedNetworkPerEpoch) {
+  const graph::Graph g = graph::connected_gnp(14, 0.3, 5);
+  TrafficEngine fixed(g, {});
+  const WalkNetwork* const built = fixed.network();
+  ASSERT_NE(built, nullptr);
+  EXPECT_EQ(built->epoch, 0u);
+  fixed.admit({TrafficKind::kBroadcast, 0, 0, 0, 0});
+  fixed.run();
+  EXPECT_EQ(fixed.network(), built);
+
+  graph::NodeChurnScenario sc(g, /*p_leave=*/0.15, /*p_join=*/0.5, 11);
+  TrafficOptions opt;
+  opt.batch = 8;
+  opt.epoch_period = 32;
+  opt.max_epochs = 6;
+  opt.lossy = LossyTrafficConfig{};
+  opt.lossy->link.loss = 0.1;
+  TrafficEngine engine(sc, opt);
+  EXPECT_EQ(engine.network(), nullptr);
+  for (NodeId s = 0; s < 14; ++s)
+    engine.admit({TrafficKind::kRoute, s, static_cast<NodeId>(13 - s),
+                  s * 9, 0});
+  std::uint64_t last_epoch = 0;
+  const WalkNetwork* last = nullptr;
+  while (engine.unfinished_count() > 0) {
+    engine.run_round();
+    ASSERT_NE(engine.network(), nullptr);
+    EXPECT_EQ(engine.network()->epoch, engine.epoch());
+    if (last && engine.epoch() == last_epoch) {
+      EXPECT_EQ(engine.network(), last);
+    }
+    last = engine.network();
+    last_epoch = engine.epoch();
+  }
+  EXPECT_GT(engine.epoch(), 0u);
+}
+
 }  // namespace
 }  // namespace uesr::core

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -502,6 +503,50 @@ TEST(EventSimFaults, FaultScheduleReplayIsByteIdentical) {
   EXPECT_EQ(delivered[0], delivered[1]);
   EXPECT_GT(corrupted[0], 0u);  // the chaos regime really fired
   EXPECT_GT(crashed[0], 0u);
+}
+
+// The fault state is sparse: faults that hit some nodes and links leave
+// every other one up with crash epoch 0, on a graph far larger than what
+// they touched, and a link or node put back up reads exactly as before.
+TEST(EventSimFaults, UntouchedEntitiesStayUpOnALargeGraph) {
+  const NodeId n = 1 << 18;
+  Graph g = graph::cycle(n);
+  EventSim sim(g, 7, perfect());
+  sim.set_node_crashed(5, true);
+  sim.set_node_crashed(5, false);
+  sim.set_node_crashed(n - 1, true);
+  sim.set_node_crashed(1000, false);  // recovering an up node: no change
+  sim.set_link_up(7, 0, false);
+  sim.set_link_up(n - 2, 1, false);
+  sim.set_link_up(9, 1, false);
+  sim.set_link_up(9, 1, true);
+  sim.schedule_fault(1, {FaultAction::Kind::kCrash, 40000});
+  sim.schedule_fault(2, {FaultAction::Kind::kLinkDown, 60000, 1});
+  sim.set_timer(3, 1);
+  while (sim.next()) {
+  }
+  EXPECT_EQ(sim.crash_epochs(5), 1u);
+  EXPECT_FALSE(sim.node_crashed(5));
+  EXPECT_TRUE(sim.node_crashed(n - 1));
+  EXPECT_TRUE(sim.node_crashed(40000));
+  EXPECT_FALSE(sim.link_up(7, 0));
+  EXPECT_FALSE(sim.link_up(n - 2, 1));
+  EXPECT_FALSE(sim.link_up(60000, 1));
+  EXPECT_TRUE(sim.link_up(9, 1));
+  for (const NodeId v : {NodeId{0}, NodeId{4}, NodeId{6}, NodeId{1000},
+                         NodeId{39999}, NodeId{123456}, n - 2}) {
+    EXPECT_FALSE(sim.node_crashed(v)) << v;
+    EXPECT_EQ(sim.crash_epochs(v), 0u) << v;
+    EXPECT_TRUE(sim.link_up(v, 0)) << v;
+    EXPECT_TRUE(sim.link_up(v, 1) || v == n - 2) << v;
+  }
+  EXPECT_TRUE(sim.link_up(7, 1));
+  EXPECT_TRUE(sim.link_up(8, 0));
+  // Range checks still hold without whole-graph tables.
+  EXPECT_THROW(sim.node_crashed(n), std::invalid_argument);
+  EXPECT_THROW(sim.crash_epochs(n), std::invalid_argument);
+  EXPECT_THROW(sim.link_up(n, 0), std::invalid_argument);
+  EXPECT_THROW(sim.link_up(0, 2), std::invalid_argument);
 }
 
 }  // namespace
